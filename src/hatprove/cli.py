@@ -7,12 +7,14 @@
 
 Paths are problem files or directories of them.  Exit status 0 means
 the run completed (individual problem verdicts are in the output), 2
-means no problems were found, and 1 is a harness failure.
+means no problems were found, and 1 is a harness failure or an output
+pipe closed by its reader (as in `hatprove DIR | head -1`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .embedding import ht_axioms
@@ -61,6 +63,19 @@ def _goal_of(path, args):
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush
+        # at interpreter exit cannot fail again, and stop quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _main(argv) -> int:
     args = _parser().parse_args(argv)
     problems = []
     for p in args.paths:
@@ -103,6 +118,8 @@ def main(argv=None) -> int:
         print(result.szs_line)
         if result.message:
             print(f"% {result.message}")
+        if result.countermodel:
+            print(f"% countermodel: {result.countermodel}")
         print(f"% time: {result.seconds:.2f}s, deepening rounds: {result.rounds}")
         return 0
     report = run_suite(args.paths, cfg, jobs=args.jobs)

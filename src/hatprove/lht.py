@@ -21,6 +21,12 @@ the whole propositional fragment.  Beyond it a failed round proves
 nothing, so after round k fails at its limit the finite refuter of
 `oracle` looks for a countermodel on a domain of k elements (k <= 3);
 a model it finds is evaluated once more before it backs a Refuted.
+
+A ground search (no variable and no quantifier in the root sequent, so
+nothing is ever bound) does the same search with less work: the axiom
+check is a hash lookup, each premise keeps its one proof, and the proof
+needs no freezing.  Sequents are tuples throughout, shared by the proof
+nodes.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from typing import Iterator, Optional
 
 from .oracle import HERE, MAX_DOMAIN, eval_ht_fo, ht_countermodel_fo
 from .terms import (
+    BINARY,
     And,
     Atom,
     Bindings,
@@ -47,6 +54,7 @@ from .terms import (
     is_literal,
     skolem_term,
     struct_equal,
+    term_vars,
     unify_literals,
 )
 from .verdicts import ProverResult, SearchTimeout, Verdict
@@ -282,6 +290,24 @@ def has_free_var_quantifier(f: Formula, pol: int = 0) -> bool:
     return False
 
 
+def _is_ground(formulas) -> bool:
+    """True iff no variable and no quantifier occurs in the formulas."""
+    work = list(formulas)
+    while work:
+        g = work.pop()
+        if isinstance(g, Atom):
+            if any(term_vars(a) for a in g.args):
+                return False
+        elif isinstance(g, Neg):
+            work.append(g.body)
+        elif isinstance(g, BINARY):
+            work.append(g.left)
+            work.append(g.right)
+        else:
+            return False
+    return True
+
+
 # ============================================================
 # Proof objects
 # ============================================================
@@ -341,22 +367,35 @@ class LhtSearch:
         self.bnd = Bindings()
         self.blocked = False   # a free-variable rule was cut off by the limit
         self.nodes = 0
+        self.ground: Optional[bool] = None  # set from the root sequent
 
     # -- axiom closures ----------------------------------------------------
 
-    def _closures(self, left: list, right: list):
+    def _closures(self, left: tuple, right: tuple):
         """Yield leaf nodes; a syntactically identical pair commits.
 
         Returns True when the commit case fired, in which case the
         caller must not fall through to rule application.
         """
-        seq_l, seq_r = tuple(left), tuple(right)
+        if self.ground:
+            # nothing can be bound: struct_equal is ==, and two literals
+            # unify only when they are identical, which commits
+            rights = set(right)
+            negated = {n.body for n in left if isinstance(n, Neg)}
+            for a in left:
+                if a in rights:
+                    yield ProofNode(left, right, "axiom1", closing=(a, a))
+                    return True
+                if a in negated:
+                    yield ProofNode(left, right, "axiom2", closing=(a, a))
+                    return True
+            return False
         candidates = [(b, "axiom1") for b in right]
         candidates += [(n.body, "axiom2") for n in left if isinstance(n, Neg)]
         for a in left:
             for b, kind in candidates:
                 if struct_equal(a, b, self.bnd):
-                    yield ProofNode(seq_l, seq_r, kind, closing=(a, b))
+                    yield ProofNode(left, right, kind, closing=(a, b))
                     return True
                 if not is_literal(a):
                     continue
@@ -365,17 +404,19 @@ class LhtSearch:
                 mark = self.bnd.mark()
                 if unify_literals(a, b, self.bnd):
                     try:
-                        yield ProofNode(seq_l, seq_r, kind, closing=(a, b))
+                        yield ProofNode(left, right, kind, closing=(a, b))
                     finally:
                         self.bnd.undo_to(mark)
         return False
 
     # -- rule application --------------------------------------------------
 
-    def prove(self, left: list, right: list, pos: str, freev: list) -> Iterator[ProofNode]:
+    def prove(self, left: tuple, right: tuple, pos: str, freev: list) -> Iterator[ProofNode]:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout
         self.nodes += 1
+        if self.ground is None:
+            self.ground = not freev and _is_ground(left + right)
 
         if (yield from self._closures(left, right)):
             return
@@ -402,7 +443,6 @@ class LhtSearch:
                 yield from self._apply(rule, parts, idx, left, right, pos, freev)
 
     def _apply(self, rule, parts, idx, left, right, pos, freev) -> Iterator[ProofNode]:
-        seq_l, seq_r = tuple(left), tuple(right)
         if rule.pol == 1:
             principal = left[idx]
             l0, r0 = left[:idx] + left[idx + 1 :], right
@@ -427,12 +467,12 @@ class LhtSearch:
         else:
             adds = _propositional_premises(rule, parts)
 
-        premises = [(la + l0, ra + r0) for la, ra in adds]
+        premises = [((*la, *l0), (*ra, *r0)) for la, ra in adds]
         try:
             for children in self._premises(premises, pos, freev2, 0, ()):
                 yield ProofNode(
-                    seq_l,
-                    seq_r,
+                    left,
+                    right,
                     rule.id,
                     principal=principal,
                     children=children,
@@ -448,38 +488,22 @@ class LhtSearch:
             yield acc
             return
         l, r = premises[i]
-        child_pos = ("l", "r", "x")[i] + pos
-        for node in self.prove(l, r, child_pos, freev):
+        proofs = self.prove(l, r, ("l", "r", "x")[i] + pos, freev)
+        if self.ground:
+            # a ground sequent has at most one proof: keep it and drop
+            # the suspended search behind it instead of resuming it
+            node = next(proofs, None)
+            proofs.close()
+            if node is not None:
+                yield from self._premises(premises, pos, freev, i + 1, acc + (node,))
+            return
+        for node in proofs:
             yield from self._premises(premises, pos, freev, i + 1, acc + (node,))
 
 
 # ============================================================
 # Entry points
 # ============================================================
-
-
-def axiom_close(left, right, bnd: Optional[Bindings] = None) -> Optional[ProofNode]:
-    """First axiom closure of the sequent, or None.
-
-    On success the closing unifier has been added to `bnd`; a
-    syntactically identical pair closes without binding anything.
-    """
-    if bnd is None:
-        bnd = Bindings()
-    left, right = list(left), list(right)
-    candidates = [(b, "axiom1") for b in right]
-    candidates += [(n.body, "axiom2") for n in left if isinstance(n, Neg)]
-    for a in left:
-        for b, kind in candidates:
-            if struct_equal(a, b, bnd):
-                return ProofNode(tuple(left), tuple(right), kind, closing=(a, b))
-            if not is_literal(a):
-                continue
-            if kind == "axiom2" and not isinstance(a, Atom):
-                continue
-            if unify_literals(a, b, bnd):
-                return ProofNode(tuple(left), tuple(right), kind, closing=(a, b))
-    return None
 
 
 def prove_sequent(
@@ -491,8 +515,8 @@ def prove_sequent(
 ) -> Optional[ProofNode]:
     """First proof of the sequent at the given limit, or None."""
     search = LhtSearch(var_limit, deadline)
-    for node in search.prove(list(left), list(right), "s", list(free_vars)):
-        return _freeze(node, search.bnd)
+    for node in search.prove(tuple(left), tuple(right), "s", list(free_vars)):
+        return node if search.ground else _freeze(node, search.bnd)
     return None
 
 
@@ -519,8 +543,8 @@ def prove_lht(
             return ProverResult(Verdict.TIMEOUT, rounds=rounds)
         search = LhtSearch(limit, deadline)
         try:
-            for node in search.prove([], [f], "s", []):
-                frozen = _freeze(node, search.bnd)
+            for node in search.prove((), (f,), "s", []):
+                frozen = node if search.ground else _freeze(node, search.bnd)
                 return ProverResult(
                     Verdict.PROVED, frozen, rounds, frozen.rule_applications()
                 )

@@ -39,7 +39,8 @@ class PBindings:
             del self._map[self._trail.pop()]
 
     def bind(self, v: PVar, seg: tuple) -> None:
-        assert v.id not in self._map
+        if v.id in self._map:
+            raise ValueError(f"prefix variable {v} is already bound")
         self._map[v.id] = seg
         self._trail.append(v.id)
 
@@ -311,7 +312,6 @@ def prefix_unify(
             continue
         seen.add(sig)
         for p1, p2 in pairs:
-            assert resolved_string(p1, pb, tb) == resolved_string(p2, pb, tb), (
-                "unverified prefix unifier"
-            )
+            if resolved_string(p1, pb, tb) != resolved_string(p2, pb, tb):
+                raise RuntimeError("unverified prefix unifier")
         yield pb

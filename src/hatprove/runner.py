@@ -56,6 +56,7 @@ class RunResult:
     rounds: int = 0
     rule_apps: int = 0
     message: str = ""
+    countermodel: str = ""  # the checked model behind a Non-Theorem, as text
 
     @property
     def szs_line(self) -> str:
@@ -113,6 +114,7 @@ def run_problem(path, cfg: RunConfig) -> RunResult:
         time.monotonic() - start,
         rounds=result.rounds,
         rule_apps=result.rule_apps,
+        countermodel="" if result.countermodel is None else str(result.countermodel),
     )
 
 

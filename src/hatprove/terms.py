@@ -181,7 +181,8 @@ class Bindings:
             del self._map[self._trail.pop()]
 
     def bind(self, var: Var, term: Term) -> None:
-        assert var.id not in self._map
+        if var.id in self._map:
+            raise ValueError(f"variable {var} is already bound")
         self._map[var.id] = term
         self._trail.append(var.id)
 

@@ -10,6 +10,7 @@ from hatprove.frontend import (
 )
 from hatprove.lht import (
     LhtSearch,
+    _freeze,
     has_free_var_quantifier,
     prove_lht,
     prove_sequent,
@@ -27,7 +28,6 @@ from hatprove.proofcheck import check_proof
 from hatprove.terms import (
     And,
     Atom,
-    Bindings,
     Exists,
     Forall,
     Imp,
@@ -182,18 +182,65 @@ def test_lem_fails_at_any_limit():
 
 
 def test_axiom_close_returns_extended_substitution():
-    from hatprove.lht import axiom_close
-
-    bnd = Bindings()
-    leaf = axiom_close([pa(X)], [pa(con("a"))], bnd)
-    assert leaf is not None and leaf.rule == "axiom1"
-    assert bnd.resolve_term(X) == con("a")
-    assert axiom_close([p], [q]) is None
+    search = LhtSearch(1)
+    closures = search._closures((pa(X),), (pa(con("a")),))
+    leaf = next(closures)
+    assert leaf.rule == "axiom1"
+    # the closing unifier holds while the closure is suspended
+    assert search.bnd.resolve_term(X) == con("a")
+    closures.close()
+    assert len(search.bnd) == 0
+    assert _close([p], [q])[0] is None
     # syntactic identity closes without binding anything
-    bnd2 = Bindings()
     f = Imp(p, q)
-    assert axiom_close([f], [f], bnd2) is not None
-    assert len(bnd2) == 0
+    leaf, search = _close([f], [f])
+    assert leaf is not None
+    assert len(search.bnd) == 0
+
+
+def _horn(n, gap=None):
+    links = [f"(p{i} => p{i + 1})" for i in range(n) if i != gap]
+    return f"(p0 , {' , '.join(links)}) => p{n}"
+
+
+def _schwichtenberg(n):
+    links = [f"(p{i} => (p{i} => p{i - 1}))" for i in range(n, 0, -1)]
+    return f"(p{n} , {' , '.join(links)}) => p0"
+
+
+def _de_bruijn(n):
+    m = 2 * n + 1
+    everything = "(" + " , ".join(f"p{i}" for i in range(1, m + 1)) + ")"
+    cycle = [f"((p{i} <=> p{i % m + 1}) => {everything})" for i in range(1, m + 1)]
+    return "(" + " , ".join(cycle) + f") => {everything}"
+
+
+def test_ground_search_counts_are_unchanged():
+    # (formula, nodes, rule applications of the proof or None): the
+    # counts of the general search, which the ground path must repeat
+    cases = [
+        (_horn(22), 855, 322),
+        (_horn(22, gap=11), 891, None),
+        (_schwichtenberg(5), 2133, 769),
+        (_de_bruijn(1), 698, 475),
+        (_schwichtenberg(7), 20617, 7289),
+    ]
+    for text, nodes, apps in cases:
+        search = LhtSearch(1)
+        proof = next(search.prove((), (parse_native_formula(text),), "s", []), None)
+        assert search.ground, text
+        assert search.nodes == nodes, text
+        if apps is None:
+            assert proof is None, text
+            continue
+        assert proof.rule_applications() == apps, text
+        check_proof(proof)
+        # nothing was bound, so freezing would not change the proof
+        assert _freeze(proof, search.bnd) == proof
+    search = LhtSearch(1)
+    f2 = parse_native_formula("ex Y: all X: (p(Y) => p(X))", close=True)
+    next(search.prove((), (f2,), "s", []), None)
+    assert search.ground is False
 
 
 # ============================================================

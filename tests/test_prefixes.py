@@ -1,5 +1,8 @@
 import itertools
 
+import pytest
+
+import hatprove.prefixes as prefixes
 from hatprove.matrix import PConst, PVar
 from hatprove.prefixes import (
     PBindings,
@@ -96,6 +99,25 @@ def test_every_solution_verified_by_application():
     for _ in prefix_unify(cons, pb, tb):
         for p1, p2 in cons:
             assert resolved_string(p1, pb, tb) == resolved_string(p2, pb, tb)
+
+
+def test_rebinding_a_bound_prefix_variable_raises():
+    pb = PBindings()
+    pb.bind(V(1), (a1,))
+    with pytest.raises(ValueError, match="already bound"):
+        pb.bind(V(1), (a2,))
+    assert pb.value(V(1)) == (a1,)
+
+
+def test_unverified_unifier_is_rejected(monkeypatch):
+    # a solver that claims success without binding anything must not
+    # get its non-unifier past the re-check, with or without python -O
+    def bogus_solve(pairs, pb, tb, budget=None):
+        yield
+
+    monkeypatch.setattr(prefixes, "_solve", bogus_solve)
+    with pytest.raises(RuntimeError, match="unverified prefix unifier"):
+        next(prefix_unify([((a1,), (a2,))], PBindings(), Bindings()))
 
 
 # ============================================================

@@ -1,3 +1,5 @@
+import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,17 @@ def test_non_theorem_problem(tmp_path):
     path = write(tmp_path, "lem.p", "fof(c, conjecture, p | ~p).")
     result = run_problem(path, RunConfig(backend="lht", timeout=5))
     assert result.status == "Non-Theorem"
+
+
+def test_countermodel_reaches_the_result():
+    cfg = RunConfig(backend="lht", timeout=5)
+    result = run_problem(MINI / "quantifier_shift.p", cfg)
+    assert result.status == "Non-Theorem"
+    assert result.countermodel == "D={0..1} H={} T={p(0,1),p(1,0)}"
+    # a plain string, so it crosses the --jobs process boundary
+    assert pickle.loads(pickle.dumps(result)).countermodel == result.countermodel
+    # an exhaustive propositional search leaves no model behind
+    assert run_problem(MINI / "peirce.p", cfg).countermodel == ""
 
 
 # HT-invalid, but its only countermodels are infinite: an irreflexive,
@@ -128,6 +141,32 @@ def test_cli_single_problem(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "% SZS status Theorem for f1" in out
+
+
+def test_cli_prints_countermodel(capsys):
+    code = main([str(MINI / "quantifier_shift.p"), "--timeout", "5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "% SZS status Non-Theorem for quantifier_shift" in out
+    assert "% countermodel: D={0..1} H={} T={p(0,1),p(1,0)}" in out
+
+
+def test_cli_closed_pipe_exits_quietly(tmp_path):
+    write(tmp_path, "t1.p", "fof(c, conjecture, p => p).")
+    write(tmp_path, "t2.p", "fof(c, conjecture, p | ~p).")
+    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hatprove.cli", str(tmp_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 def test_cli_empty_dir_exit_code(tmp_path):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from hatprove.terms import (
     And,
     Atom,
@@ -93,6 +95,18 @@ def test_unify_failure_restores_bindings():
     assert not unify_occurs(Fun("f", (X, Y)), Fun("f", (b, b)), bnd)
     assert bnd.mark() == before
     assert bnd.resolve_term(Y) == Y
+
+
+def test_rebinding_a_bound_variable_raises():
+    # an explicit check, so it holds under python -O as well
+    bnd = Bindings()
+    bnd.bind(X, a)
+    with pytest.raises(ValueError, match="already bound"):
+        bnd.bind(X, b)
+    assert bnd.resolve_term(X) == a
+    bnd.undo_to(0)
+    bnd.bind(X, b)
+    assert bnd.resolve_term(X) == b
 
 
 def test_fresh_copy_full_rename():
