@@ -18,10 +18,10 @@ import os
 import sys
 
 from .embedding import ht_axioms
-from .frontend import add_equality_axioms, assemble_goal, parse_problem, to_native
+from .frontend import to_native
 from .matrix import build_matrix, matrix_str
-from .oracle import QuantifierError, ht_countermodel
-from .runner import BACKENDS, RunConfig, find_problems, run_problem, run_suite
+from .oracle import ht_countermodel
+from .runner import BACKENDS, RunConfig, find_problems, load_goal, run_problem, run_suite
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -51,17 +51,6 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _goal_of(path, args):
-    axiom_root = args.axiom_root if args.axiom_root else None
-    from pathlib import Path
-
-    root = axiom_root if axiom_root is not None else Path(path).parent
-    prob = parse_problem(
-        Path(path).read_bytes(), args.format, name=Path(path).stem, axiom_root=root
-    )
-    return add_equality_axioms(assemble_goal(prob))
-
-
 def main(argv=None) -> int:
     try:
         code = _main(argv)
@@ -87,7 +76,7 @@ def _main(argv) -> int:
     if args.emit_axioms or args.emit_matrix or args.oracle:
         for path in problems:
             try:
-                goal = _goal_of(path, args)
+                goal = load_goal(path, args.format, args.axiom_root)
                 if args.emit_axioms:
                     for ax in ht_axioms(goal):
                         print(to_native(ax))
@@ -99,8 +88,6 @@ def _main(argv) -> int:
                     print(f"% SZS status {status} for {path.stem}")
                     if counter:
                         print(f"% countermodel: {counter}")
-            except QuantifierError as exc:
-                print(f"% SZS status Error for {path.stem} : {exc}")
             except Exception as exc:
                 print(f"% SZS status Error for {path.stem} : {exc}")
         return 0

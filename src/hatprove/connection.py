@@ -22,7 +22,8 @@ regularity (no literal may repeat on a path) and restricted
 backtracking (the first connection that closes a literal is committed),
 the latter incomplete and therefore only one pass of the strategy
 schedule; exhausting the complete pass without ever hitting the copy
-limit refutes.
+limit refutes.  The deepening loop is `verdicts.deepen`, shared with the
+sequent provers, and the matrix is built once per call.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .matrix import (
 )
 from .prefixes import (
     BudgetExceeded,
-    PBindings,
     _solve,
     constraints_signature,
     expand,
@@ -54,7 +54,7 @@ from .prefixes import (
     resolved_string,
 )
 from .terms import Bindings, Formula, unify_occurs
-from .verdicts import ProverResult, SearchTimeout, Verdict
+from .verdicts import ProverResult, SearchTimeout, Verdict, deepen
 
 
 
@@ -101,7 +101,7 @@ class ConnSearch:
         self.regularity = regularity
         self.restricted_bt = restricted_bt
         self.tb = Bindings()
-        self.pb = PBindings()
+        self.pb = Bindings()  # prefix variables
         self.constraints: list = []
         self.connections: list = []
         self.copies: Counter = Counter()
@@ -349,53 +349,6 @@ class ConnSearch:
 # ============================================================
 
 
-def connection_prove_once(
-    matrix: MatMatrix,
-    copy_limit: int,
-    deadline: Optional[float] = None,
-    regularity: bool = True,
-    restricted_bt: bool = False,
-):
-    """One bounded round; returns ('proved', proof) | 'blocked' | 'exhausted'."""
-    search = ConnSearch(matrix, copy_limit, deadline, regularity, restricted_bt)
-    for proof in search.run():
-        return ("proved", proof)
-    return ("blocked", None) if search.blocked else ("exhausted", None)
-
-
-def connection_prove(
-    matrix: MatMatrix,
-    timeout: Optional[float] = None,
-    regularity: bool = True,
-    restricted_bt: bool = False,
-) -> ProverResult:
-    """Multiplicity deepening over a prebuilt matrix, one configuration.
-
-    Refuted only when a round exhausts without ever hitting the copy
-    limit, and only in the complete configuration.
-    """
-    deadline = time.monotonic() + timeout if timeout is not None else None
-    limit = 1
-    rounds = 0
-    while True:
-        if deadline is not None and time.monotonic() > deadline:
-            return ProverResult(Verdict.TIMEOUT, rounds=rounds)
-        rounds += 1
-        try:
-            status, proof = connection_prove_once(
-                matrix, limit, deadline, regularity, restricted_bt
-            )
-        except SearchTimeout:
-            return ProverResult(Verdict.TIMEOUT, rounds=rounds)
-        if status == "proved":
-            return ProverResult(Verdict.PROVED, proof, rounds, len(proof.connections))
-        if status == "exhausted":
-            if restricted_bt:
-                return ProverResult(Verdict.GAVE_UP, rounds=rounds)
-            return ProverResult(Verdict.REFUTED, rounds=rounds)
-        limit += 1
-
-
 def prove_conn(
     f: Formula,
     timeout: Optional[float] = None,
@@ -405,45 +358,41 @@ def prove_conn(
     """Connection proof search with multiplicity deepening.
 
     Default schedule runs restricted backtracking first (fast, not
-    complete), then the complete configuration.  Refuted is only
-    reported when a complete pass exhausted its search space without
-    ever hitting the copy limit.  Passing restricted_bt pins a single
-    configuration instead of the schedule.
+    complete) for at most three rounds and a quarter of the time, then
+    the complete configuration.  Refuted is only reported when a
+    complete round exhausted its search space without ever hitting the
+    copy limit; the same under restricted backtracking is inconclusive.
+    Passing restricted_bt pins a single configuration instead of the
+    schedule, and a pinned restricted pass that exhausts gives up.
+    The matrix is built once: every round restores the clause slots it
+    fills with copies.
     """
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
-    if restricted_bt is None:
-        passes = [True, False]
-    else:
-        passes = [restricted_bt]
+    passes = [True, False] if restricted_bt is None else [restricted_bt]
+    matrix = build_matrix(f)
     rounds = 0
-    for i, rb in enumerate(passes):
+    for rb in passes:
+        pass_deadline = deadline
         if rb and timeout is not None and len(passes) > 1:
             pass_deadline = start + 0.25 * timeout
-        else:
-            pass_deadline = deadline
-        complete_pass = not rb
-        limit = 1
-        while True:
-            if rb and limit > 3:
-                break  # restricted backtracking rarely profits from depth
-            if pass_deadline is not None and time.monotonic() > pass_deadline:
-                break
-            matrix = build_matrix(f)
-            rounds += 1
-            try:
-                status, proof = connection_prove_once(
-                    matrix, limit, pass_deadline, regularity, rb
-                )
-            except SearchTimeout:
-                break
-            if status == "proved":
-                return ProverResult(
-                    Verdict.PROVED, proof, rounds, len(proof.connections)
-                )
-            if status == "exhausted":
-                if complete_pass:
-                    return ProverResult(Verdict.REFUTED, rounds=rounds)
-                break  # inconclusive under restricted backtracking
-            limit += 1
+
+        def run_round(limit):
+            search = ConnSearch(matrix, limit, pass_deadline, regularity, rb)
+            return search, next(search.run(), None)
+
+        result = deepen(
+            run_round,
+            pass_deadline,
+            lambda proof: len(proof.connections),
+            cap=3 if rb else None,  # restricted backtracking rarely profits from depth
+        )
+        rounds += result.rounds
+        result.rounds = rounds
+        if result.verdict is Verdict.REFUTED and rb:
+            # exhausted under restricted backtracking: inconclusive
+            if len(passes) == 1:
+                return ProverResult(Verdict.GAVE_UP, rounds=rounds)
+        elif result.verdict is not Verdict.TIMEOUT:
+            return result
     return ProverResult(Verdict.TIMEOUT, rounds=rounds)

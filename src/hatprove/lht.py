@@ -15,12 +15,13 @@ the axioms, delta-type rules insert a skolem term over the branch's
 free variables, and the occurs check rejects instantiations that would
 violate the Eigenvariable condition.
 
-On formulas without free-variable quantifier occurrences a single round
-is a complete search, so failure is reported as Refuted; this covers
-the whole propositional fragment.  Beyond it a failed round proves
-nothing, so after round k fails at its limit the finite refuter of
-`oracle` looks for a countermodel on a domain of k elements (k <= 3);
-a model it finds is evaluated once more before it backs a Refuted.
+A failed round in which the limit never cut off a free-variable rule
+is the search every higher limit would do, so its failure is reported
+as Refuted; this covers the whole propositional fragment.  A round the
+limit did cut off proves nothing, so after round k fails that way the
+finite refuter of `oracle` looks for a countermodel on a domain of k
+elements (k <= 3); a model it finds is evaluated once more before it
+backs a Refuted.
 
 A ground search (no variable and no quantifier in the root sequent, so
 nothing is ever bound) does the same search with less work: the axiom
@@ -57,7 +58,7 @@ from .terms import (
     term_vars,
     unify_literals,
 )
-from .verdicts import ProverResult, SearchTimeout, Verdict
+from .verdicts import ProverResult, SearchTimeout, deepen
 
 # ============================================================
 # Rule table
@@ -247,49 +248,6 @@ def rule_lookup(f: Formula, pol: int) -> RuleApplication:
     raise LookupError(f"no rule for {f} at polarity {pol}")
 
 
-# ============================================================
-# Free-variable quantifier detection
-# ============================================================
-
-
-def has_free_var_quantifier(f: Formula, pol: int = 0) -> bool:
-    """True iff search on f can reach a free-variable quantifier rule.
-
-    Polarity-tracking walk: negation and the left of an implication
-    flip, an equivalence puts each operand at both polarities.  The
-    triggers are a universal at polarity 1 or an existential at 0.
-    """
-    work = [(f, pol)]
-    seen_both: set = set()
-    while work:
-        g, p = work.pop()
-        if isinstance(g, Atom):
-            continue
-        if isinstance(g, Neg):
-            work.append((g.body, 1 - p))
-        elif isinstance(g, And) or isinstance(g, Or):
-            work.append((g.left, p))
-            work.append((g.right, p))
-        elif isinstance(g, Imp):
-            work.append((g.left, 1 - p))
-            work.append((g.right, p))
-        elif isinstance(g, Iff):
-            if id(g) not in seen_both:
-                seen_both.add(id(g))
-                work.extend([(g.left, 0), (g.left, 1), (g.right, 0), (g.right, 1)])
-        elif isinstance(g, Forall):
-            if p == 1:
-                return True
-            work.append((g.body, p))
-        elif isinstance(g, Exists):
-            if p == 0:
-                return True
-            work.append((g.body, p))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-    return False
-
-
 def _is_ground(formulas) -> bool:
     """True iff no variable and no quantifier occurs in the formulas."""
     work = list(formulas)
@@ -411,6 +369,15 @@ class LhtSearch:
 
     # -- rule application --------------------------------------------------
 
+    def first_proof(self, left: tuple, right: tuple) -> Optional[ProofNode]:
+        """The first proof of left |- right at this limit, or None.
+
+        Bindings are resolved into the proof unless the search is ground.
+        """
+        for node in self.prove(tuple(left), tuple(right), "s", []):
+            return node if self.ground else _freeze(node, self.bnd)
+        return None
+
     def prove(self, left: tuple, right: tuple, pos: str, freev: list) -> Iterator[ProofNode]:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout
@@ -502,61 +469,31 @@ class LhtSearch:
 
 
 # ============================================================
-# Entry points
+# Entry point
 # ============================================================
 
 
-def prove_sequent(
-    left,
-    right,
-    free_vars=(),
-    var_limit: int = 1,
-    deadline: Optional[float] = None,
-) -> Optional[ProofNode]:
-    """First proof of the sequent at the given limit, or None."""
-    search = LhtSearch(var_limit, deadline)
-    for node in search.prove(tuple(left), tuple(right), "s", list(free_vars)):
-        return node if search.ground else _freeze(node, search.bnd)
-    return None
-
-
-def prove_lht(
-    f: Formula,
-    initial_limit: int = 1,
-    timeout: Optional[float] = None,
-) -> ProverResult:
+def prove_lht(f: Formula, timeout: Optional[float] = None) -> ProverResult:
     """Iterative deepening on the free-variable limit, starting at 1.
 
-    Formulas without free-variable quantifiers need no deepening: one
-    failed round is an exhaustive search and yields Refuted.  Otherwise
-    round k that fails at its limit is followed by a search for a
-    countermodel on k domain elements, up to MAX_DOMAIN; a model that is
-    false at `here` yields Refuted with the model attached.
+    A failed round that no free-variable rule was cut from is the whole
+    search and yields Refuted; this covers the propositional fragment.
+    A blocked round k is followed by a search for a countermodel on k
+    domain elements, up to MAX_DOMAIN; a model that is false at `here`
+    yields Refuted with the model attached.
     """
     deadline = time.monotonic() + timeout if timeout is not None else None
-    deepen = has_free_var_quantifier(f)
-    limit = max(1, initial_limit)
-    rounds = 0
-    while True:
-        rounds += 1
-        if deadline is not None and time.monotonic() > deadline:
-            return ProverResult(Verdict.TIMEOUT, rounds=rounds)
+
+    def run_round(limit):
         search = LhtSearch(limit, deadline)
-        try:
-            for node in search.prove((), (f,), "s", []):
-                frozen = node if search.ground else _freeze(node, search.bnd)
-                return ProverResult(
-                    Verdict.PROVED, frozen, rounds, frozen.rule_applications()
-                )
-        except SearchTimeout:
-            return ProverResult(Verdict.TIMEOUT, rounds=rounds)
-        if not deepen:
-            return ProverResult(Verdict.REFUTED, rounds=rounds)
-        if search.blocked and rounds <= MAX_DOMAIN:
-            try:
-                model = ht_countermodel_fo(f, rounds, deadline)
-            except SearchTimeout:
-                return ProverResult(Verdict.TIMEOUT, rounds=rounds)
-            if model is not None and not eval_ht_fo(f, model, HERE):
-                return ProverResult(Verdict.REFUTED, rounds=rounds, countermodel=model)
-        limit += 1
+        return search, search.first_proof((), (f,))
+
+    def settle(limit):
+        if limit > MAX_DOMAIN:
+            return None
+        model = ht_countermodel_fo(f, limit, deadline)
+        if model is not None and not eval_ht_fo(f, model, HERE):
+            return model
+        return None
+
+    return deepen(run_round, deadline, ProofNode.rule_applications, settle=settle)

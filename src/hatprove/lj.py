@@ -13,9 +13,9 @@ Contraction is absorbed: the left side is kept as a set, so inserting
 a formula that is already present (under the current bindings) changes
 nothing, and a sequent identical to a branch ancestor is cut off.
 Together with the per-branch free-variable cap this makes every round
-terminate; the propositional fragment (and any input without
-free-variable quantifiers) is thereby decided, and failures there are
-reported as Refuted.
+terminate.  A failed round in which the cap never cut off a
+free-variable rule is the search every higher cap would do, so it is
+reported as Refuted; the propositional fragment is thereby decided.
 
 Quantifiers use the same free-variable and dynamic-skolemization
 discipline as the native prover, with iterative deepening on the
@@ -27,7 +27,6 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .lht import has_free_var_quantifier
 from .terms import (
     And,
     Atom,
@@ -44,7 +43,7 @@ from .terms import (
     struct_equal,
     unify_literals,
 )
-from .verdicts import ProverResult, SearchTimeout, Verdict
+from .verdicts import ProverResult, SearchTimeout, deepen
 
 
 class LJSearch:
@@ -52,6 +51,7 @@ class LJSearch:
         self.var_limit = var_limit
         self.deadline = deadline
         self.bnd = Bindings()
+        self.blocked = False   # a free-variable rule was cut off by the cap
         self.nodes = 0
 
     def _insert(self, items: list, f: Formula) -> list:
@@ -168,42 +168,30 @@ class LJSearch:
             elif isinstance(f, Neg):
                 yield from self.prove(left, f.body, "l" + pos, freev, hist)
 
-        if isinstance(right, Exists) and len(freev) < self.var_limit:
-            y, inst = fresh_copy((right.var, right.body), freev, self.bnd)
-            yield from self.prove(left, inst, "l" + pos, freev + [y], hist)
+        if isinstance(right, Exists):
+            if len(freev) < self.var_limit:
+                y, inst = fresh_copy((right.var, right.body), freev, self.bnd)
+                yield from self.prove(left, inst, "l" + pos, freev + [y], hist)
+            else:
+                self.blocked = True
 
         for f in list(left):
-            if isinstance(f, Forall) and len(freev) < self.var_limit:
-                y, inst = fresh_copy((f.var, f.body), freev, self.bnd)
-                yield from self.prove(
-                    self._insert(left, inst), right, "l" + pos, freev + [y], hist
-                )
+            if isinstance(f, Forall):
+                if len(freev) < self.var_limit:
+                    y, inst = fresh_copy((f.var, f.body), freev, self.bnd)
+                    yield from self.prove(
+                        self._insert(left, inst), right, "l" + pos, freev + [y], hist
+                    )
+                else:
+                    self.blocked = True
 
 
-def prove_lj(
-    f: Formula,
-    initial_limit: int = 1,
-    timeout: Optional[float] = None,
-) -> ProverResult:
-    """Intuitionistic provability with iterative deepening.
-
-    Refuted is only reported for inputs without free-variable
-    quantifier occurrences, where one round exhausts the search space.
-    """
+def prove_lj(f: Formula, timeout: Optional[float] = None) -> ProverResult:
+    """Intuitionistic provability with iterative deepening on the cap."""
     deadline = time.monotonic() + timeout if timeout is not None else None
-    deepen = has_free_var_quantifier(f)
-    limit = max(1, initial_limit)
-    rounds = 0
-    while True:
-        rounds += 1
-        if deadline is not None and time.monotonic() > deadline:
-            return ProverResult(Verdict.TIMEOUT, rounds=rounds)
+
+    def run_round(limit):
         search = LJSearch(limit, deadline)
-        try:
-            for _ in search.prove([], f, "s", [], frozenset()):
-                return ProverResult(Verdict.PROVED, rounds=rounds)
-        except SearchTimeout:
-            return ProverResult(Verdict.TIMEOUT, rounds=rounds)
-        if not deepen:
-            return ProverResult(Verdict.REFUTED, rounds=rounds)
-        limit += 1
+        return search, next(search.prove([], f, "s", [], frozenset()), None)
+
+    return deepen(run_round, deadline)

@@ -11,7 +11,9 @@ prefix-variable arguments into further string constraints, and the
 occurs check looks through constant arguments.
 
 Every solution yielded has been verified by application: both strings
-of every constraint expand to the same symbol sequence.
+of every constraint expand to the same symbol sequence.  Prefix
+variables bind on their own `terms.Bindings` trail, next to the one for
+term variables.
 """
 
 from __future__ import annotations
@@ -22,38 +24,12 @@ from .matrix import PConst, PSym, PVar
 from .terms import Bindings, Var, unify_occurs
 
 
-class PBindings:
-    """Prefix-variable bindings with an undo trail."""
-
-    __slots__ = ("_map", "_trail")
-
-    def __init__(self):
-        self._map: dict[int, tuple] = {}
-        self._trail: list[int] = []
-
-    def mark(self) -> int:
-        return len(self._trail)
-
-    def undo_to(self, mark: int) -> None:
-        while len(self._trail) > mark:
-            del self._map[self._trail.pop()]
-
-    def bind(self, v: PVar, seg: tuple) -> None:
-        if v.id in self._map:
-            raise ValueError(f"prefix variable {v} is already bound")
-        self._map[v.id] = seg
-        self._trail.append(v.id)
-
-    def value(self, v: PVar) -> Optional[tuple]:
-        return self._map.get(v.id)
-
-
-def expand(prefix, pb: PBindings) -> tuple:
+def expand(prefix, pb: Bindings) -> tuple:
     """Flatten bound prefix variables into their strings."""
     out = []
     for s in prefix:
         if isinstance(s, PVar):
-            val = pb.value(s)
+            val = pb.lookup(s)
             if val is None:
                 out.append(s)
             else:
@@ -63,7 +39,7 @@ def expand(prefix, pb: PBindings) -> tuple:
     return tuple(out)
 
 
-def _occurs(v: PVar, seg, pb: PBindings) -> bool:
+def _occurs(v: PVar, seg, pb: Bindings) -> bool:
     for s in expand(seg, pb):
         if isinstance(s, PVar):
             if s.id == v.id:
@@ -96,7 +72,7 @@ def _const_match(a: PConst, b: PConst, tb: Bindings, extra: list) -> bool:
     return True
 
 
-def _simplify(pairs: list, pb: PBindings, tb: Bindings):
+def _simplify(pairs: list, pb: Bindings, tb: Bindings):
     """Deterministic propagation: cancel matching ends, force bindings
     whose value is the only possibility.  Returns the residual pairs or
     None on clash.  Bindings stay on the trails; the caller undoes."""
@@ -144,7 +120,7 @@ def _simplify(pairs: list, pb: PBindings, tb: Bindings):
                 if not all(isinstance(x, PVar) for x in leftover):
                     return None
                 for x in leftover:
-                    if pb.value(x) is None:
+                    if pb.lookup(x) is None:
                         pb.bind(x, ())
                 changed = True
                 continue
@@ -167,7 +143,7 @@ def _choice_pair(pairs: list):
     return pairs[best], pairs[:best] + pairs[best + 1 :]
 
 
-def _solve(pairs: list, pb: PBindings, tb: Bindings, budget=None) -> Iterator[None]:
+def _solve(pairs: list, pb: Bindings, tb: Bindings, budget=None) -> Iterator[None]:
     if budget is not None:
         budget[0] -= 1
         if budget[0] < 0:
@@ -210,7 +186,7 @@ def _solve(pairs: list, pb: PBindings, tb: Bindings, budget=None) -> Iterator[No
         tb.undo_to(tmark)
 
 
-def resolved_string(prefix, pb: PBindings, tb: Bindings) -> tuple:
+def resolved_string(prefix, pb: Bindings, tb: Bindings) -> tuple:
     """Comparable form of a prefix under the current substitutions.
 
     Bound prefix variables are flattened away, constant term arguments
@@ -233,7 +209,7 @@ def resolved_string(prefix, pb: PBindings, tb: Bindings) -> tuple:
     return tuple(rsym(s) for s in expand(prefix, pb))
 
 
-def solution_signature(constraints, pb: PBindings, tb: Optional[Bindings] = None):
+def solution_signature(constraints, pb: Bindings, tb: Optional[Bindings] = None):
     """Canonical form of the current bindings, restricted to the
     variables of the given constraints, values fully expanded."""
     tb = tb if tb is not None else Bindings()
@@ -243,7 +219,7 @@ def solution_signature(constraints, pb: PBindings, tb: Optional[Bindings] = None
             _collect_pvars(sym, vids)
     items = []
     for vid, v in sorted(vids.items()):
-        val = pb.value(v)
+        val = pb.lookup(v)
         if val is not None:
             items.append((vid, resolved_string(val, pb, tb)))
     return frozenset(items)
@@ -258,7 +234,7 @@ def _collect_pvars(sym: PSym, out: dict) -> None:
                 out.setdefault(a.id, a)
 
 
-def constraints_signature(constraints, pb: PBindings, tb: Bindings):
+def constraints_signature(constraints, pb: Bindings, tb: Bindings):
     """Hashable form of a constraint set with variables renumbered by
     first occurrence; copies that differ only in fresh variable ids map
     to the same signature, which makes satisfiability cacheable."""
@@ -293,16 +269,16 @@ def constraints_signature(constraints, pb: PBindings, tb: Bindings):
 
 def prefix_unify(
     constraints,
-    pb: Optional[PBindings] = None,
+    pb: Optional[Bindings] = None,
     tb: Optional[Bindings] = None,
-) -> Iterator[PBindings]:
+) -> Iterator[Bindings]:
     """Enumerate prefix substitutions equalizing every constraint pair.
 
     Solutions are deduplicated and checked by application before being
     yielded; bindings live in `pb` (and term bindings in `tb`) while a
     solution is being consumed and are undone on resumption.
     """
-    pb = pb if pb is not None else PBindings()
+    pb = pb if pb is not None else Bindings()
     tb = tb if tb is not None else Bindings()
     pairs = [(tuple(p1), tuple(p2)) for p1, p2 in constraints]
     seen = set()

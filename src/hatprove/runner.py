@@ -87,17 +87,24 @@ def _engine(goal, cfg: RunConfig):
     raise ValueError(f"unknown backend {cfg.backend!r}")
 
 
+def load_goal(path, fmt: str, axiom_root=None):
+    """Parse a problem file and assemble its goal with equality axioms.
+
+    include() files are looked up under axiom_root, or the problem's
+    directory when it is None.
+    """
+    path = Path(path)
+    root = axiom_root if axiom_root is not None else path.parent
+    prob = parse_problem(path.read_bytes(), fmt, name=path.stem, axiom_root=root)
+    return add_equality_axioms(assemble_goal(prob))
+
+
 def run_problem(path, cfg: RunConfig) -> RunResult:
     """Run one problem; pipeline failures become an Error result."""
-    path = Path(path)
-    name = path.stem
+    name = Path(path).stem
     start = time.monotonic()
     try:
-        axiom_root = cfg.axiom_root if cfg.axiom_root is not None else path.parent
-        prob = parse_problem(
-            path.read_bytes(), cfg.fmt, name=name, axiom_root=axiom_root
-        )
-        goal = add_equality_axioms(assemble_goal(prob))
+        goal = load_goal(path, cfg.fmt, cfg.axiom_root)
         result = _engine(goal, cfg)
     except Exception as exc:
         return RunResult(

@@ -160,6 +160,10 @@ def is_literal(f: Formula) -> bool:
 class Bindings:
     """Variable bindings with an undo trail.
 
+    Keyed by variable id, so the same class binds term variables to
+    terms and, in a separate instance, prefix variables to prefix
+    strings.
+
     bind() never overwrites: a variable is bound at most once until the
     trail is unwound past its entry, which keeps undo O(1) per binding.
     """

@@ -289,7 +289,7 @@ def _prefix_case(string, consts, pvars):
 
 def test_criterion_7_prefix_unification_oracle():
     from hatprove.matrix import PConst, PVar
-    from hatprove.prefixes import PBindings, expand, prefix_unify
+    from hatprove.prefixes import expand, prefix_unify
     from hatprove.terms import Bindings
 
     checked = mismatches = 0
@@ -307,13 +307,13 @@ def test_criterion_7_prefix_unification_oracle():
                 pairs = [(_prefix_case(s, consts, pvars), _prefix_case(t, consts, pvars))]
                 brute = brute_solutions([(s, t)], variables)
                 prod = []
-                pb, tb = PBindings(), Bindings()
+                pb, tb = Bindings(), Bindings()
                 for _ in prefix_unify(pairs, pb, tb):
                     sol = {}
                     for name, v in pvars.items():
-                        if pb.value(v) is not None:
+                        if pb.lookup(v) is not None:
                             sol[name] = tuple(
-                                sym.name for sym in expand(pb.value(v), pb)
+                                sym.name for sym in expand(pb.lookup(v), pb)
                             )
                     prod.append(sol)
                 checked += 1

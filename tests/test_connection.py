@@ -107,13 +107,29 @@ def test_refutation_exhausts_without_copy_block():
 
 
 def test_connection_prove_on_matrix():
-    from hatprove.connection import connection_prove
-
-    assert connection_prove(build_matrix(F3), timeout=5).verdict is Verdict.PROVED
-    assert connection_prove(build_matrix(F4), timeout=5).verdict is Verdict.REFUTED
+    assert prove_conn(F3, timeout=5, restricted_bt=False).verdict is Verdict.PROVED
+    assert prove_conn(F4, timeout=5, restricted_bt=False).verdict is Verdict.REFUTED
     # restricted backtracking alone may not conclude invalidity
-    r = connection_prove(build_matrix(F4), timeout=5, restricted_bt=True)
+    r = prove_conn(F4, timeout=5, restricted_bt=True)
     assert r.verdict in (Verdict.GAVE_UP, Verdict.PROVED, Verdict.TIMEOUT)
+
+
+def test_matrix_built_once_per_call(monkeypatch):
+    import hatprove.connection as connection
+
+    built = []
+    build = connection.build_matrix
+    monkeypatch.setattr(
+        connection, "build_matrix", lambda f: built.append(f) or build(f)
+    )
+    # the first needs two copies of the universal, Peirce two rounds a pass
+    two_copies = parse_native_formula("(all X: p(X)) => (p(a) , p(b))", close=True)
+    peirce = parse_native_formula("((p => q) => p) => p", close=True)
+    for f, verdict in ((two_copies, Verdict.PROVED), (peirce, Verdict.REFUTED)):
+        built.clear()
+        r = prove_conn(f, timeout=5)
+        assert r.verdict is verdict and r.rounds >= 2
+        assert built == [f]
 
 
 def test_regularity_never_removes_all_proofs():

@@ -11,9 +11,7 @@ from hatprove.frontend import (
 from hatprove.lht import (
     LhtSearch,
     _freeze,
-    has_free_var_quantifier,
     prove_lht,
-    prove_sequent,
     rule_lookup,
 )
 from hatprove.oracle import (
@@ -154,7 +152,7 @@ def test_axiom_sign_mismatch():
 
 
 def test_f1_proof_matches_reference_tree():
-    proof = prove_sequent([], [F1])
+    proof = LhtSearch(1).first_proof((), (F1,))
     assert proof is not None
     check_proof(proof)
     # disjunction split, then three implication-right applications
@@ -170,15 +168,15 @@ def test_f1_proof_matches_reference_tree():
 
 def test_pelletier18_needs_three_variables():
     f2 = parse_native_formula("ex Y: all X: (p(Y) => p(X))", close=True)
-    assert prove_sequent([], [f2], var_limit=2) is None
-    proof = prove_sequent([], [f2], var_limit=3)
+    assert LhtSearch(2).first_proof((), (f2,)) is None
+    proof = LhtSearch(3).first_proof((), (f2,))
     assert proof is not None
     check_proof(proof)
 
 
 def test_lem_fails_at_any_limit():
     for limit in (1, 3, 5):
-        assert prove_sequent([], [Or(p, Neg(p))], var_limit=limit) is None
+        assert LhtSearch(limit).first_proof((), (Or(p, Neg(p)),)) is None
 
 
 def test_axiom_close_returns_extended_substitution():
@@ -243,34 +241,9 @@ def test_ground_search_counts_are_unchanged():
     assert search.ground is False
 
 
-# ============================================================
-# Free-variable quantifier detection
-# ============================================================
-
-
-def test_no_quantifiers():
-    assert not has_free_var_quantifier(F1)
-
-
-def test_exists_positive_triggers():
-    f = parse_native_formula("ex Y: all X: (p(Y) => p(X))", close=True)
-    assert has_free_var_quantifier(f)
-
-
-def test_forall_under_implication_triggers():
-    f = parse_native_formula("(all X: p(X)) => p(a)", close=True)
-    assert has_free_var_quantifier(f)
-
-
 def test_skolem_only_formula():
     f = parse_native_formula("all X: (p(X) => p(X))", close=True)
-    assert not has_free_var_quantifier(f)
     assert prove_lht(f).verdict is Verdict.PROVED
-
-
-def test_iff_gives_both_polarities():
-    f = parse_native_formula("(all X: p(X)) <=> q", close=True)
-    assert has_free_var_quantifier(f)
 
 
 # ============================================================

@@ -22,6 +22,18 @@ def test_classically_valid_non_theorems():
     assert prove_lj(Or(p, Neg(p))).verdict is Verdict.REFUTED
 
 
+def test_unblocked_first_order_round_refutes():
+    # round 1 never reaches the free-variable cap, so every later round
+    # would repeat it: drinker, independence of premise, Pelletier 18
+    for text in (
+        "ex Y: (p(Y) => all X: p(X))",
+        "ex Y: ((ex X: p(X)) => p(Y))",
+        "ex Y: all X: (p(Y) => p(X))",
+    ):
+        r = prove_lj(parse_native_formula(text, close=True), timeout=5)
+        assert (r.verdict, r.rounds) == (Verdict.REFUTED, 1), text
+
+
 def test_embedded_benchmarks_proved():
     assert prove_lj(embed(F1), timeout=15).verdict is Verdict.PROVED
     f2 = parse_native_formula("ex Y: all X: (p(Y) => p(X))", close=True)

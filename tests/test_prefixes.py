@@ -5,7 +5,6 @@ import pytest
 import hatprove.prefixes as prefixes
 from hatprove.matrix import PConst, PVar
 from hatprove.prefixes import (
-    PBindings,
     expand,
     prefix_unify,
     resolved_string,
@@ -24,14 +23,14 @@ def V(i):
 def solutions(constraints):
     """Materialized solution dicts from the production unifier."""
     out = []
-    pb, tb = PBindings(), Bindings()
+    pb, tb = Bindings(), Bindings()
     for _ in prefix_unify(constraints, pb, tb):
         sol = {}
         for p1, p2 in constraints:
             for sym in tuple(p1) + tuple(p2):
-                if isinstance(sym, PVar) and pb.value(sym) is not None:
+                if isinstance(sym, PVar) and pb.lookup(sym) is not None:
                     sol[sym.name] = tuple(
-                        s.name for s in expand(pb.value(sym), pb)
+                        s.name for s in expand(pb.lookup(sym), pb)
                     )
         out.append(sol)
     return out
@@ -77,13 +76,13 @@ def test_constant_arguments_must_unify():
     X = Var(9501, "X")
     c1 = PConst("a4", (X,))
     c2 = PConst("a4", (con("c"),))
-    pb, tb = PBindings(), Bindings()
+    pb, tb = Bindings(), Bindings()
     gen = prefix_unify([((c1,), (c2,))], pb, tb)  # bindings live with the generator
     assert next(gen, None) is not None
     assert tb.resolve_term(X) == con("c")
     gen.close()
     c3 = PConst("a5", (con("c"),))
-    assert next(prefix_unify([((c1,), (c3,))], PBindings(), Bindings()), None) is None
+    assert next(prefix_unify([((c1,), (c3,))], Bindings(), Bindings()), None) is None
 
 
 def test_occurs_through_constant_arguments():
@@ -94,7 +93,7 @@ def test_occurs_through_constant_arguments():
 
 
 def test_every_solution_verified_by_application():
-    pb, tb = PBindings(), Bindings()
+    pb, tb = Bindings(), Bindings()
     cons = [((V(1), a2), (a1, V(2))), ((a1, V(3)), (V(1), a2))]
     for _ in prefix_unify(cons, pb, tb):
         for p1, p2 in cons:
@@ -102,11 +101,11 @@ def test_every_solution_verified_by_application():
 
 
 def test_rebinding_a_bound_prefix_variable_raises():
-    pb = PBindings()
+    pb = Bindings()
     pb.bind(V(1), (a1,))
     with pytest.raises(ValueError, match="already bound"):
         pb.bind(V(1), (a2,))
-    assert pb.value(V(1)) == (a1,)
+    assert pb.lookup(V(1)) == (a1,)
 
 
 def test_unverified_unifier_is_rejected(monkeypatch):
@@ -117,7 +116,7 @@ def test_unverified_unifier_is_rejected(monkeypatch):
 
     monkeypatch.setattr(prefixes, "_solve", bogus_solve)
     with pytest.raises(RuntimeError, match="unverified prefix unifier"):
-        next(prefix_unify([((a1,), (a2,))], PBindings(), Bindings()))
+        next(prefix_unify([((a1,), (a2,))], Bindings(), Bindings()))
 
 
 # ============================================================
@@ -136,15 +135,15 @@ def _to_prod(string, consts, pvars):
 
 def _prod_solutions_as_dicts(pairs, pvars):
     out = []
-    pb, tb = PBindings(), Bindings()
+    pb, tb = Bindings(), Bindings()
     names = {v.id: n for n, v in pvars.items()}
     for _ in prefix_unify(pairs, pb, tb):
         sol = {}
         for n, v in pvars.items():
-            if pb.value(v) is not None:
+            if pb.lookup(v) is not None:
                 sol[n] = tuple(
                     s.name if isinstance(s, PVar) else s.name
-                    for s in expand(pb.value(v), pb)
+                    for s in expand(pb.lookup(v), pb)
                 )
         out.append(sol)
     return out

@@ -201,6 +201,21 @@ def test_cli_emit_matrix(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "{{p^1:a1V1},{p^0:a1a2}}"
 
 
+def test_one_goal_pipeline_for_runner_and_cli(tmp_path, monkeypatch, capsys):
+    import hatprove.runner as runner
+
+    # both go through the runner's own names, which tracing replaces
+    seen = []
+    assemble = runner.assemble_goal
+    monkeypatch.setattr(
+        runner, "assemble_goal", lambda prob: seen.append(prob.name) or assemble(prob)
+    )
+    path = write(tmp_path, "imp.p", "fof(c, conjecture, p => p).")
+    assert run_problem(path, RunConfig(backend="lht", timeout=5)).status == "Theorem"
+    assert main([str(path), "--emit-matrix"]) == 0
+    assert seen == ["imp", "imp"]
+
+
 def test_cli_suite_with_csv(tmp_path, capsys):
     write(tmp_path, "t1.p", "fof(c, conjecture, p => p).")
     write(tmp_path, "t2.p", "fof(c, conjecture, p | ~p).")
