@@ -235,7 +235,7 @@ class ConnSearch:
         for start in starts:
             for _ in self._activate(start, ()):
                 pairs = [(p1, p2) for p1, p2, _ in self.constraints]
-                for _ in prefix_unify(pairs, self.pb, self.tb):
+                for _ in prefix_unify(pairs, self.pb, self.tb, self.deadline):
                     yield self._snapshot(start.label)
 
     def _activate(self, clause: MatClause, path: tuple) -> Iterator[None]:

@@ -18,10 +18,12 @@ term variables.
 
 from __future__ import annotations
 
+import time
 from typing import Iterator, Optional
 
 from .matrix import PConst, PSym, PVar
 from .terms import Bindings, Var, unify_occurs
+from .verdicts import SearchTimeout
 
 
 def expand(prefix, pb: Bindings) -> tuple:
@@ -143,7 +145,11 @@ def _choice_pair(pairs: list):
     return pairs[best], pairs[:best] + pairs[best + 1 :]
 
 
-def _solve(pairs: list, pb: Bindings, tb: Bindings, budget=None) -> Iterator[None]:
+def _solve(
+    pairs: list, pb: Bindings, tb: Bindings, budget=None, deadline: Optional[float] = None
+) -> Iterator[None]:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchTimeout
     if budget is not None:
         budget[0] -= 1
         if budget[0] < 0:
@@ -167,7 +173,7 @@ def _solve(pairs: list, pb: Bindings, tb: Bindings, budget=None) -> Iterator[Non
                 mark = pb.mark()
                 pb.bind(a, seg)
                 try:
-                    yield from _solve([(s[1:], t[k:])] + rest, pb, tb, budget)
+                    yield from _solve([(s[1:], t[k:])] + rest, pb, tb, budget, deadline)
                 finally:
                     pb.undo_to(mark)
         if isinstance(b, PVar):
@@ -178,7 +184,7 @@ def _solve(pairs: list, pb: Bindings, tb: Bindings, budget=None) -> Iterator[Non
                 mark = pb.mark()
                 pb.bind(b, seg)
                 try:
-                    yield from _solve([(s[k:], t[1:])] + rest, pb, tb, budget)
+                    yield from _solve([(s[k:], t[1:])] + rest, pb, tb, budget, deadline)
                 finally:
                     pb.undo_to(mark)
     finally:
@@ -271,18 +277,21 @@ def prefix_unify(
     constraints,
     pb: Optional[Bindings] = None,
     tb: Optional[Bindings] = None,
+    deadline: Optional[float] = None,
 ) -> Iterator[Bindings]:
     """Enumerate prefix substitutions equalizing every constraint pair.
 
     Solutions are deduplicated and checked by application before being
     yielded; bindings live in `pb` (and term bindings in `tb`) while a
-    solution is being consumed and are undone on resumption.
+    solution is being consumed and are undone on resumption.  Raises
+    `SearchTimeout` once `deadline` (a `time.monotonic()` value) has
+    passed.
     """
     pb = pb if pb is not None else Bindings()
     tb = tb if tb is not None else Bindings()
     pairs = [(tuple(p1), tuple(p2)) for p1, p2 in constraints]
     seen = set()
-    for _ in _solve(pairs, pb, tb):
+    for _ in _solve(pairs, pb, tb, deadline=deadline):
         sig = solution_signature(pairs, pb, tb)
         if sig in seen:
             continue

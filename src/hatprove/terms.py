@@ -7,12 +7,20 @@ Variable identity is an integer id; the name is a display hint only.
 Proof search backtracks constantly, so bindings live in a trail-backed
 store (`Bindings`) that supports cheap mark/undo instead of persistent
 substitution maps.
+
+Searches hash and compare formulas at every node, so both are cheap
+when nothing is bound: a formula computes its structural hash on first
+use and keeps it, and on an empty trail `resolve_formula` returns its
+argument and `struct_equal` is `==`.  A ground search therefore builds
+no formula to resolve, and hashes each formula once.  With bindings,
+resolving rebuilds only the parts that a binding changes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, is_
 from typing import Iterable, Iterator, Optional, Union
 
 # ============================================================
@@ -64,11 +72,42 @@ def con(sym: str) -> Fun:
 # ============================================================
 
 
+@dataclass(frozen=True, slots=True)
 class Formula:
-    pass
+    """Base of the formula classes, each a frozen dataclass with slots.
+
+    The structural hash is the one a frozen dataclass would compute,
+    but it is computed on first use and kept in the `_hash` slot, so
+    hashing a formula whose parts are already hashed costs one tuple
+    hash.  The kept hash is not pickled: `str` hashes differ between
+    processes.
+    """
+
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._field_values(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return type(self), self._field_values(self)
 
 
-@dataclass(frozen=True)
+def _formula(cls):
+    """Frozen dataclass with slots and the kept hash of `Formula`."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls) if f.compare]
+    get = attrgetter(*names)
+    # the tuple of field values; attrgetter of one name returns the value
+    cls._field_values = staticmethod(get if len(names) > 1 else lambda f: (get(f),))
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_formula
 class Atom(Formula):
     pred: str
     args: tuple = ()
@@ -81,7 +120,7 @@ class Atom(Formula):
         return f"{self.pred}({','.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@_formula
 class And(Formula):
     left: Formula
     right: Formula
@@ -90,7 +129,7 @@ class And(Formula):
         return f"({self.left} , {self.right})"
 
 
-@dataclass(frozen=True)
+@_formula
 class Or(Formula):
     left: Formula
     right: Formula
@@ -99,7 +138,7 @@ class Or(Formula):
         return f"({self.left} ; {self.right})"
 
 
-@dataclass(frozen=True)
+@_formula
 class Imp(Formula):
     left: Formula
     right: Formula
@@ -108,7 +147,7 @@ class Imp(Formula):
         return f"({self.left} => {self.right})"
 
 
-@dataclass(frozen=True)
+@_formula
 class Iff(Formula):
     left: Formula
     right: Formula
@@ -117,7 +156,7 @@ class Iff(Formula):
         return f"({self.left} <=> {self.right})"
 
 
-@dataclass(frozen=True)
+@_formula
 class Neg(Formula):
     body: Formula
 
@@ -125,7 +164,7 @@ class Neg(Formula):
         return f"~ {self.body}"
 
 
-@dataclass(frozen=True)
+@_formula
 class Forall(Formula):
     var: Var
     body: Formula
@@ -134,7 +173,7 @@ class Forall(Formula):
         return f"(all {self.var}: {self.body})"
 
 
-@dataclass(frozen=True)
+@_formula
 class Exists(Formula):
     var: Var
     body: Formula
@@ -166,6 +205,10 @@ class Bindings:
 
     bind() never overwrites: a variable is bound at most once until the
     trail is unwound past its entry, which keeps undo O(1) per binding.
+
+    An empty trail costs nothing to apply: `resolve_term` and
+    `resolve_formula` then return their argument itself, and
+    `struct_equal` is `==`.
     """
 
     __slots__ = ("_map", "_trail")
@@ -205,22 +248,38 @@ class Bindings:
     # -- deep application -------------------------------------------------
 
     def resolve_term(self, term: Term) -> Term:
+        if not self._map:
+            return term
         term = self.walk(term)
-        if isinstance(term, Var) or not isinstance(term, Fun):
+        if not isinstance(term, Fun) or not term.args:
             return term
-        if not term.args:
-            return term
-        return Fun(term.sym, tuple(self.resolve_term(a) for a in term.args))
+        args = self._resolve_args(term.args)
+        return term if args is term.args else Fun(term.sym, args)
+
+    def _resolve_args(self, args: tuple) -> tuple:
+        new = tuple([self.resolve_term(a) for a in args])
+        return args if all(map(is_, new, args)) else new
 
     def resolve_formula(self, f: Formula) -> Formula:
+        """`f` under the current bindings; parts that no binding changes
+        are returned as they are, with their kept hashes."""
+        if not self._map:
+            return f
         if isinstance(f, Atom):
-            return Atom(f.pred, tuple(self.resolve_term(a) for a in f.args))
+            args = self._resolve_args(f.args)
+            return f if args is f.args else Atom(f.pred, args)
         if isinstance(f, Neg):
-            return Neg(self.resolve_formula(f.body))
+            body = self.resolve_formula(f.body)
+            return f if body is f.body else Neg(body)
         if isinstance(f, BINARY):
-            return type(f)(self.resolve_formula(f.left), self.resolve_formula(f.right))
+            left = self.resolve_formula(f.left)
+            right = self.resolve_formula(f.right)
+            if left is f.left and right is f.right:
+                return f
+            return type(f)(left, right)
         if isinstance(f, QUANT):
-            return type(f)(f.var, self.resolve_formula(f.body))
+            body = self.resolve_formula(f.body)
+            return f if body is f.body else type(f)(f.var, body)
         raise TypeError(f"not a formula: {f!r}")
 
 
@@ -506,7 +565,13 @@ def alpha_equal(f: Formula, g: Formula, free_bijection: bool = False) -> bool:
 
 
 def struct_equal(f: Formula, g: Formula, bnd: Bindings) -> bool:
-    """Syntactic identity of the current instantiations (Prolog's ==)."""
+    """Syntactic identity of the current instantiations (Prolog's ==).
+
+    With nothing bound this is dataclass equality, which compares
+    variables and quantifier binders by id.
+    """
+    if not bnd:
+        return f == g
 
     def tv(a: Term, b: Term) -> bool:
         a = bnd.walk(a)

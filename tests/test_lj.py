@@ -3,6 +3,7 @@ import random
 from hatprove.embedding import embed
 from hatprove.frontend import parse_native_formula
 from hatprove.lht import prove_lht
+from hatprove import lj
 from hatprove.lj import prove_lj
 from hatprove.oracle import ht_valid_prop
 from hatprove.terms import Atom, Imp, Neg, Or
@@ -38,6 +39,38 @@ def test_embedded_benchmarks_proved():
     assert prove_lj(embed(F1), timeout=15).verdict is Verdict.PROVED
     f2 = parse_native_formula("ex Y: all X: (p(Y) => p(X))", close=True)
     assert prove_lj(embed(f2), timeout=15).verdict is Verdict.PROVED
+
+
+def test_embedded_search_counts_are_unchanged(monkeypatch):
+    # (formula, embedded, verdict, rounds, nodes per round): the counts of
+    # a search that rebuilt every formula it resolved, which resolving
+    # for free on an empty trail must repeat; rule_apps is always 0
+    cases = [
+        ("~ (~ p , p)", True, Verdict.PROVED, 1, [15]),
+        ("((p ; p) => p)", True, Verdict.PROVED, 1, [15]),
+        ("(q => (p => q))", True, Verdict.PROVED, 1, [2794]),
+        ("(q => ((q => p) => p))", True, Verdict.PROVED, 1, [4788]),
+        ("(p ; (q ; (q => q)))", True, Verdict.PROVED, 1, [12227]),
+        ("((p => q) ; (q => p))", True, Verdict.PROVED, 1, [4392]),
+        ("ex Y: all X: (p(Y) => p(X))", True, Verdict.PROVED, 2, [111, 838]),
+        ("p ; ~ p", False, Verdict.REFUTED, 1, [4]),
+        ("((p => q) => p) => p", False, Verdict.REFUTED, 1, [6]),
+        ("ex Y: (p(Y) => all X: p(X))", False, Verdict.REFUTED, 1, [4]),
+    ]
+    searches = []
+
+    class Recorded(lj.LJSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    monkeypatch.setattr(lj, "LJSearch", Recorded)
+    for text, embedded, verdict, rounds, nodes in cases:
+        f = parse_native_formula(text, close=True)
+        searches.clear()
+        r = prove_lj(embed(f) if embedded else f)
+        assert (r.verdict, r.rounds, r.rule_apps) == (verdict, rounds, 0), text
+        assert [s.nodes for s in searches] == nodes, text
 
 
 def test_intuitionistic_staples():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from hatprove.prefixes import (
     solution_signature,
 )
 from hatprove.terms import Bindings
+from hatprove.verdicts import SearchTimeout
 from support import brute_solutions, solution_instance_of
 
 a1, a2, a3 = PConst("a1"), PConst("a2"), PConst("a3")
@@ -111,12 +113,22 @@ def test_rebinding_a_bound_prefix_variable_raises():
 def test_unverified_unifier_is_rejected(monkeypatch):
     # a solver that claims success without binding anything must not
     # get its non-unifier past the re-check, with or without python -O
-    def bogus_solve(pairs, pb, tb, budget=None):
+    def bogus_solve(pairs, pb, tb, budget=None, deadline=None):
         yield
 
     monkeypatch.setattr(prefixes, "_solve", bogus_solve)
     with pytest.raises(RuntimeError, match="unverified prefix unifier"):
         next(prefix_unify([((a1,), (a2,))], Bindings(), Bindings()))
+
+
+def test_past_deadline_stops_the_unifier():
+    # satisfiable, so only the deadline can stop it
+    constraints = [((a1, V(1)), (a1, a2, V(2)))]
+    assert solutions(constraints)
+    pb = Bindings()
+    with pytest.raises(SearchTimeout):
+        next(prefix_unify(constraints, pb, Bindings(), time.monotonic() - 1))
+    assert len(pb) == 0
 
 
 # ============================================================

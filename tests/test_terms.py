@@ -1,4 +1,9 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,7 @@ from hatprove.terms import (
     fresh_copy,
     fresh_var,
     skolem_term,
+    struct_equal,
     substitute,
     unify_occurs,
 )
@@ -180,3 +186,82 @@ def test_alpha_equal():
 def test_fresh_var_name_hint():
     v = fresh_var("W")
     assert v.name == "W"
+
+
+# ============================================================
+# The formula layer on an empty trail, and the kept hash
+# ============================================================
+
+
+def _sample():
+    return Imp(And(pa(a), Neg(Atom("q"))), Forall(X, Or(pa(X), Exists(Y, Atom("r", (X, Y))))))
+
+
+def test_equal_formulas_hash_and_compare_equal():
+    f, g = _sample(), _sample()
+    assert f is not g
+    assert f == g and hash(f) == hash(g)
+    assert hash(f) == hash(f)  # the kept hash is the computed one
+    assert f != Imp(And(pa(b), Neg(Atom("q"))), f.right)
+    assert And(pa(a), pa(b)) != Or(pa(a), pa(b))
+
+
+def test_resolve_on_empty_trail_returns_the_argument():
+    bnd = Bindings()
+    f = Imp(pa(X), Atom("q", (Fun("f", (X,)),)))
+    assert bnd.resolve_formula(f) is f
+    assert bnd.resolve_term(f.right.args[0]) is f.right.args[0]
+    bnd.bind(X, a)
+    resolved = bnd.resolve_formula(f)
+    assert resolved == Imp(pa(a), Atom("q", (Fun("f", (a,)),)))
+    assert f == Imp(pa(X), Atom("q", (Fun("f", (X,)),)))  # the input is untouched
+    # parts that no binding changes are shared, not rebuilt
+    g = And(pa(X), Forall(Y, Atom("q", (Y, Fun("f", (b,))))))
+    assert bnd.resolve_formula(g).right is g.right
+    assert bnd.resolve_formula(g.right) is g.right
+    bnd.undo_to(0)
+    assert bnd.resolve_formula(f) is f
+
+
+def test_struct_equal_on_empty_trail_keeps_variables_apart():
+    bnd = Bindings()
+    x1, x2 = Var(2001, "X"), Var(2002, "X")
+    assert not struct_equal(pa(x1), pa(x2), bnd)
+    assert struct_equal(pa(x1), pa(Var(2001, "other name")), bnd)
+    assert not struct_equal(Forall(x1, pa(a)), Forall(x2, pa(a)), bnd)
+    assert not struct_equal(Exists(x1, pa(x1)), Exists(x2, pa(x2)), bnd)
+    assert not struct_equal(Forall(x1, pa(a)), Exists(x1, pa(a)), bnd)
+    assert struct_equal(_sample(), _sample(), bnd)
+    # once something is bound, bound variables compare by their values
+    bnd.bind(x1, a)
+    assert struct_equal(pa(x1), pa(a), bnd)
+    assert not struct_equal(pa(x1), pa(x2), bnd)
+
+
+def test_pickled_formula_carries_no_kept_hash():
+    # pickled in another process, whose str hashes are salted differently
+    src = str(Path(__file__).parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(p for p in paths if p),
+        PYTHONHASHSEED="12345",
+    )
+    code = (
+        "import pickle, sys\n"
+        "from hatprove.terms import And, Atom, Forall, Neg, Var, con\n"
+        "f = And(Atom('p', (con('a'),)), Forall(Var(7, 'X'), Neg(Atom('q', (Var(7, 'X'),)))))\n"
+        "hash(f)\n"
+        "sys.stdout.buffer.write(pickle.dumps(f))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+    ).stdout
+    f = pickle.loads(out)
+    twin = And(pa(a), Forall(Var(7, "X"), Neg(Atom("q", (Var(7, "X"),)))))
+    parts = [f, f.left, f.right, f.right.body, f.right.body.body]
+    assert all(g._hash is None for g in parts)
+    assert f == twin and hash(f) == hash(twin)
+    # in-process round trips drop it too
+    g = pickle.loads(pickle.dumps(twin))
+    assert g._hash is None and hash(g) == hash(twin)
