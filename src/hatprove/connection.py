@@ -238,21 +238,33 @@ class ConnSearch:
                 for _ in prefix_unify(pairs, self.pb, self.tb, self.deadline):
                     yield self._snapshot(start.label)
 
-    def _activate(self, clause: MatClause, path: tuple) -> Iterator[None]:
-        """Copy a clause into place and solve all its obligations."""
+    def _place_copy(self, clause: MatClause) -> Optional[tuple]:
+        """Put a fresh copy of clause in its parent's slot: (copy, literal
+        map, slot index), or None at the copy limit.  `_remove_copy` undoes it."""
         if self.copies[clause.label] >= self.copy_limit:
             self.blocked = True
-            return
+            return None
         self.copies[clause.label] += 1
         cp, litmap = copy_clause(clause, self.copy_counter)
         slots = clause.parent.clauses
         ix = next(i for i, c in enumerate(slots) if c is clause)
         slots[ix] = cp
+        return cp, litmap, ix
+
+    def _remove_copy(self, clause: MatClause, ix: int) -> None:
+        clause.parent.clauses[ix] = clause
+        self.copies[clause.label] -= 1
+
+    def _activate(self, clause: MatClause, path: tuple) -> Iterator[None]:
+        """Copy a clause into place and solve all its obligations."""
+        placed = self._place_copy(clause)
+        if placed is None:
+            return
+        cp, _, ix = placed
         try:
             yield from self._solve_all(list(cp.elements), path)
         finally:
-            slots[ix] = clause
-            self.copies[clause.label] -= 1
+            self._remove_copy(clause, ix)
 
     def _solve_all(self, elements: list, path: tuple) -> Iterator[None]:
         if not elements:
@@ -304,14 +316,10 @@ class ConnSearch:
                 continue
             if not self._is_extension_clause(c1, new_path):
                 continue
-            if self.copies[c1.label] >= self.copy_limit:
-                self.blocked = True
+            placed = self._place_copy(c1)
+            if placed is None:
                 continue
-            self.copies[c1.label] += 1
-            cp, litmap = copy_clause(c1, self.copy_counter)
-            slots = c1.parent.clauses
-            ix = next(i for i, c in enumerate(slots) if c is c1)
-            slots[ix] = cp
+            cp, litmap, ix = placed
             try:
                 for l2 in partners:
                     l2c = litmap[id(l2)]
@@ -327,8 +335,7 @@ class ConnSearch:
                         if solved and self.restricted_bt:
                             return
             finally:
-                slots[ix] = c1
-                self.copies[c1.label] -= 1
+                self._remove_copy(c1, ix)
 
     def _snapshot(self, start_label: int) -> ConnProof:
         conns = [

@@ -129,7 +129,7 @@ class _Tokens:
 
 
 class _Parser:
-    """Scope handling and signature checks shared by both grammars."""
+    """Scopes, signature checks and the term syntax of both grammars."""
 
     def __init__(self, tokens: _Tokens):
         self.t = tokens
@@ -163,6 +163,28 @@ class _Parser:
                 line,
                 col,
             )
+
+    def term(self) -> Term:
+        kind, val, line, col = self.t.next()
+        if kind == "var":
+            return self.lookup_var(val)
+        if kind == "num":
+            return Fun(val, ())
+        if kind != "name":
+            raise ParseError(f"expected a term, found {val!r}", line, col)
+        sym = val.strip("'")
+        args = ()
+        if self.t.at("("):
+            self.t.next()
+            parts = [self.term()]
+            while self.t.at(","):
+                self.t.next()
+                parts.append(self.term())
+            self.t.expect(")")
+            args = tuple(parts)
+        if args:
+            self.check_arity(self.fun_arity, sym, len(args), "function")
+        return Fun(sym, args)
 
     def close_free(self, f: Formula) -> Formula:
         """Universally close the free variable names of the last formula."""
@@ -249,28 +271,6 @@ class _NativeParser(_Parser):
                 return Atom(left.sym, left.args)
             raise ParseError("a variable is not a formula", line, col)
         self.t.error("expected an atom")
-
-    def term(self) -> Term:
-        kind, val, line, col = self.t.next()
-        if kind == "var":
-            return self.lookup_var(val)
-        if kind == "num":
-            return Fun(val, ())
-        if kind != "name":
-            raise ParseError(f"expected a term, found {val!r}", line, col)
-        sym = val.strip("'")
-        args = ()
-        if self.t.at("("):
-            self.t.next()
-            parts = [self.term()]
-            while self.t.at(","):
-                self.t.next()
-                parts.append(self.term())
-            self.t.expect(")")
-            args = tuple(parts)
-        if args:
-            self.check_arity(self.fun_arity, sym, len(args), "function")
-        return Fun(sym, args)
 
 
 def parse_native_formula(text: str, close: bool = False) -> Formula:
@@ -418,28 +418,6 @@ class _TptpParser(_Parser):
                 return Atom(left.sym, left.args)
             raise ParseError("a variable is not a formula", line, col)
         self.t.error("expected an atom")
-
-    def term(self) -> Term:
-        kind, val, line, col = self.t.next()
-        if kind == "var":
-            return self.lookup_var(val)
-        if kind == "num":
-            return Fun(val, ())
-        if kind != "name":
-            raise ParseError(f"expected a term, found {val!r}", line, col)
-        sym = val.strip("'")
-        args = ()
-        if self.t.at("("):
-            self.t.next()
-            parts = [self.term()]
-            while self.t.at(","):
-                self.t.next()
-                parts.append(self.term())
-            self.t.expect(")")
-            args = tuple(parts)
-        if args:
-            self.check_arity(self.fun_arity, sym, len(args), "function")
-        return Fun(sym, args)
 
 
 # ============================================================

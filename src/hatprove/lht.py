@@ -1,13 +1,20 @@
 """Native sequent prover for the first-order logic of here-and-there.
 
-Bottom-up search over the two-axiom, 26-rule sequent calculus.  The rule
-table is scanned in a fixed order: non-splitting rules first, then
-splitting rules, equivalence expansion, skolemizing quantifier rules and
-finally the free-variable quantifier rules.  All rules except the
-free-variable ones are invertible, so the first applicable rule is
-committed to; free-variable rules retain their principal formula, are
-backtracking points, and are capped per branch by a variable limit that
-iterative deepening raises round by round.
+Bottom-up search over the two-axiom, 26-rule sequent calculus, written
+down once in `RULES`: each rule's polarity, its principal's connective
+(under a negation or not) and, for the propositional rules, its premise
+schema.  The search and `proofcheck` both find a rule by its
+principal's shape through `rule_of`.  At each node that is not an
+axiom, one pass over the sequent looks up the rule of every formula.
+All rules except the free-variable ones are invertible, so the node
+commits to the applicable invertible rule that comes first in the
+table, on its leftmost principal: non-splitting rules first, then
+splitting rules, equivalence expansion and the skolemizing quantifier
+rules.  Only when none applies are the free-variable rules tried, every
+(rule, position) pair in table order and left to right; they retain
+their principal formula, are backtracking points, and are capped per
+branch by a variable limit that iterative deepening raises round by
+round.
 
 Quantifier handling follows the free-variable discipline: gamma-type
 rules introduce a placeholder variable resolved later by unification at
@@ -33,8 +40,9 @@ nodes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Iterator, Optional
 
 from .oracle import HERE, MAX_DOMAIN, eval_ht_fo, ht_countermodel_fo
 from .terms import (
@@ -49,6 +57,7 @@ from .terms import (
     Imp,
     Neg,
     Or,
+    QUANT,
     Term,
     Var,
     fresh_copy,
@@ -64,9 +73,7 @@ from .verdicts import ProverResult, SearchTimeout, deepen
 # Rule table
 # ============================================================
 
-NONSPLIT = "nonsplit"
-SPLIT = "split"
-IFF_EXPAND = "iff"
+PROP = "prop"
 EIGEN = "eigen"
 FREEVAR = "freevar"
 
@@ -76,176 +83,80 @@ class RuleDef:
     id: str
     pol: int
     kind: str
-    shape: str  # and/or/imp/iff/neg_and/.../forall/exists/neg_forall/neg_exists
+    conn: type       # the principal's connective
+    negated: bool    # the principal is ~(conn ...)
+    premises: Optional[Callable] = None  # operands -> [(left adds, right adds)]
 
 
-_SHAPES = {
-    "and": lambda f: (f.left, f.right) if isinstance(f, And) else None,
-    "or": lambda f: (f.left, f.right) if isinstance(f, Or) else None,
-    "imp": lambda f: (f.left, f.right) if isinstance(f, Imp) else None,
-    "iff": lambda f: (f.left, f.right) if isinstance(f, Iff) else None,
-    "neg_and": lambda f: (f.body.left, f.body.right)
-    if isinstance(f, Neg) and isinstance(f.body, And)
-    else None,
-    "neg_or": lambda f: (f.body.left, f.body.right)
-    if isinstance(f, Neg) and isinstance(f.body, Or)
-    else None,
-    "neg_imp": lambda f: (f.body.left, f.body.right)
-    if isinstance(f, Neg) and isinstance(f.body, Imp)
-    else None,
-    "neg_iff": lambda f: (f.body.left, f.body.right)
-    if isinstance(f, Neg) and isinstance(f.body, Iff)
-    else None,
-    "neg_neg": lambda f: (f.body.body,)
-    if isinstance(f, Neg) and isinstance(f.body, Neg)
-    else None,
-    "forall": lambda f: (f.var, f.body) if isinstance(f, Forall) else None,
-    "exists": lambda f: (f.var, f.body) if isinstance(f, Exists) else None,
-    "neg_forall": lambda f: (f.body.var, f.body.body)
-    if isinstance(f, Neg) and isinstance(f.body, Forall)
-    else None,
-    "neg_exists": lambda f: (f.body.var, f.body.body)
-    if isinstance(f, Neg) and isinstance(f.body, Exists)
-    else None,
-}
+def _iff(a, b):
+    return And(Imp(a, b), Imp(b, a))
 
-# One entry per clause of the reference rule table, same order.
+
+# One entry per clause of the reference rule table, same order.  The
+# propositional operands are (left, right), or (a,) for ~ ~ a; the
+# quantifier operands are (binder, body).
 RULES = (
-    RuleDef("r1", 1, NONSPLIT, "and"),
-    RuleDef("r2", 0, NONSPLIT, "or"),
-    RuleDef("r3", 0, NONSPLIT, "neg_and"),
-    RuleDef("r4", 1, NONSPLIT, "neg_or"),
-    RuleDef("r5", 1, NONSPLIT, "neg_imp"),
-    RuleDef("r6", 1, NONSPLIT, "neg_neg"),
-    RuleDef("r7", 0, NONSPLIT, "neg_neg"),
-    RuleDef("r8", 0, SPLIT, "and"),
-    RuleDef("r9", 1, SPLIT, "or"),
-    RuleDef("r10", 1, SPLIT, "neg_and"),
-    RuleDef("r11", 0, SPLIT, "neg_or"),
-    RuleDef("r12", 0, SPLIT, "neg_imp"),
-    RuleDef("r13", 0, SPLIT, "imp"),
-    RuleDef("r14", 1, SPLIT, "imp"),
-    RuleDef("r15", 1, IFF_EXPAND, "iff"),
-    RuleDef("r16", 0, IFF_EXPAND, "iff"),
-    RuleDef("r17", 1, IFF_EXPAND, "neg_iff"),
-    RuleDef("r18", 0, IFF_EXPAND, "neg_iff"),
-    RuleDef("r19", 1, EIGEN, "neg_forall"),
-    RuleDef("r20", 0, EIGEN, "neg_exists"),
-    RuleDef("r21", 0, EIGEN, "forall"),
-    RuleDef("r22", 1, EIGEN, "exists"),
-    RuleDef("r23", 0, FREEVAR, "neg_forall"),
-    RuleDef("r24", 1, FREEVAR, "neg_exists"),
-    RuleDef("r25", 1, FREEVAR, "forall"),
-    RuleDef("r26", 0, FREEVAR, "exists"),
+    RuleDef("r1", 1, PROP, And, False, lambda a, b: [([a, b], [])]),
+    RuleDef("r2", 0, PROP, Or, False, lambda a, b: [([], [a, b])]),
+    RuleDef("r3", 0, PROP, And, True, lambda a, b: [([], [Neg(a), Neg(b)])]),
+    RuleDef("r4", 1, PROP, Or, True, lambda a, b: [([Neg(a), Neg(b)], [])]),
+    RuleDef("r5", 1, PROP, Imp, True, lambda a, b: [([Neg(b)], [Neg(a)])]),
+    RuleDef("r6", 1, PROP, Neg, True, lambda a: [([], [Neg(a)])]),
+    RuleDef("r7", 0, PROP, Neg, True, lambda a: [([Neg(a)], [])]),
+    RuleDef("r8", 0, PROP, And, False, lambda a, b: [([], [a]), ([], [b])]),
+    RuleDef("r9", 1, PROP, Or, False, lambda a, b: [([a], []), ([b], [])]),
+    RuleDef("r10", 1, PROP, And, True, lambda a, b: [([Neg(a)], []), ([Neg(b)], [])]),
+    RuleDef("r11", 0, PROP, Or, True, lambda a, b: [([], [Neg(a)]), ([], [Neg(b)])]),
+    RuleDef("r12", 0, PROP, Imp, True, lambda a, b: [([Neg(a)], []), ([], [Neg(b)])]),
+    RuleDef("r13", 0, PROP, Imp, False, lambda a, b: [([a], [b]), ([Neg(b)], [Neg(a)])]),
+    RuleDef("r14", 1, PROP, Imp, False, lambda a, b: [([Neg(a)], []), ([], [a, Neg(b)]), ([b], [])]),
+    RuleDef("r15", 1, PROP, Iff, False, lambda a, b: [([_iff(a, b)], [])]),
+    RuleDef("r16", 0, PROP, Iff, False, lambda a, b: [([], [_iff(a, b)])]),
+    RuleDef("r17", 1, PROP, Iff, True, lambda a, b: [([Neg(_iff(a, b))], [])]),
+    RuleDef("r18", 0, PROP, Iff, True, lambda a, b: [([], [Neg(_iff(a, b))])]),
+    RuleDef("r19", 1, EIGEN, Forall, True),
+    RuleDef("r20", 0, EIGEN, Exists, True),
+    RuleDef("r21", 0, EIGEN, Forall, False),
+    RuleDef("r22", 1, EIGEN, Exists, False),
+    RuleDef("r23", 0, FREEVAR, Forall, True),
+    RuleDef("r24", 1, FREEVAR, Exists, True),
+    RuleDef("r25", 1, FREEVAR, Forall, False),
+    RuleDef("r26", 0, FREEVAR, Exists, False),
 )
 
-_COMMITTED = tuple(r for r in RULES if r.kind != FREEVAR)
-_FREEVAR_RULES = tuple(r for r in RULES if r.kind == FREEVAR)
+# (connective, negated, polarity) -> (position in RULES, rule); literals
+# have no entry
+_BY_SHAPE = {(r.conn, r.negated, r.pol): (i, r) for i, r in enumerate(RULES)}
 
 
-def _propositional_premises(rule: RuleDef, parts) -> list:
-    """(left additions, right additions) per premise, reference order."""
-    if rule.kind == IFF_EXPAND:
-        a, b = parts
-        expanded = And(Imp(a, b), Imp(b, a))
-        if rule.shape == "neg_iff":
-            expanded = Neg(expanded)
-        return [([expanded], [])] if rule.pol == 1 else [([], [expanded])]
-    if rule.id == "r1":
-        a, b = parts
-        return [([a, b], [])]
-    if rule.id == "r2":
-        a, b = parts
-        return [([], [a, b])]
-    if rule.id == "r3":
-        a, b = parts
-        return [([], [Neg(a), Neg(b)])]
-    if rule.id == "r4":
-        a, b = parts
-        return [([Neg(a), Neg(b)], [])]
-    if rule.id == "r5":
-        a, b = parts
-        return [([Neg(b)], [Neg(a)])]
-    if rule.id == "r6":
-        (a,) = parts
-        return [([], [Neg(a)])]
-    if rule.id == "r7":
-        (a,) = parts
-        return [([Neg(a)], [])]
-    if rule.id == "r8":
-        a, b = parts
-        return [([], [a]), ([], [b])]
-    if rule.id == "r9":
-        a, b = parts
-        return [([a], []), ([b], [])]
-    if rule.id == "r10":
-        a, b = parts
-        return [([Neg(a)], []), ([Neg(b)], [])]
-    if rule.id == "r11":
-        a, b = parts
-        return [([], [Neg(a)]), ([], [Neg(b)])]
-    if rule.id == "r12":
-        a, b = parts
-        return [([Neg(a)], []), ([], [Neg(b)])]
-    if rule.id == "r13":
-        a, b = parts
-        return [([a], [b]), ([Neg(b)], [Neg(a)])]
-    if rule.id == "r14":
-        a, b = parts
-        return [([Neg(a)], []), ([], [a, Neg(b)]), ([b], [])]
-    raise ValueError(rule.id)
+def _operands(f: Formula) -> tuple:
+    g = f.body if type(f) is Neg else f
+    if type(g) is Neg:
+        return (g.body,)
+    if isinstance(g, QUANT):
+        return (g.var, g.body)
+    return (g.left, g.right)
+
+
+def _lookup(f: Formula, pol: int) -> Optional[tuple]:
+    """(position in RULES, rule) for principal f at polarity pol."""
+    t = type(f)
+    return _BY_SHAPE.get((type(f.body), True, pol) if t is Neg else (t, False, pol))
+
+
+def rule_of(f: Formula, pol: int) -> Optional[tuple]:
+    """(rule, operands) for principal f at polarity pol; None for a literal."""
+    hit = _lookup(f, pol)
+    return None if hit is None else (hit[1], _operands(f))
 
 
 def _quantifier_premise(rule: RuleDef, principal: Formula, instance: Formula) -> list:
     """Premise additions for r19-r26 given the instantiated body."""
-    negated = rule.shape.startswith("neg_")
-    inst = Neg(instance) if negated else instance
+    inst = Neg(instance) if rule.negated else instance
     if rule.kind == EIGEN:
         return [([inst], [])] if rule.pol == 1 else [([], [inst])]
     # free-variable rules retain the principal formula after the instance
     return [([inst, principal], [])] if rule.pol == 1 else [([], [inst, principal])]
-
-
-@dataclass
-class RuleApplication:
-    rule: str
-    pol: int
-    principal: Formula
-    premises: list  # [(left additions, right additions)]
-    new_var: Optional[Var] = None
-    skolem: Optional[Term] = None
-
-
-def rule_lookup(f: Formula, pol: int) -> RuleApplication:
-    """The unique rule whose conclusion has principal formula (f, pol).
-
-    For quantifier rules the instance is materialized with a fresh
-    variable or a skolem constant at a dummy site, which is what the
-    prover does at an actual application (with its own site and branch
-    variables).  Raises LookupError on literals.
-    """
-    for rule in RULES:
-        if rule.pol != pol:
-            continue
-        parts = _SHAPES[rule.shape](f)
-        if parts is None:
-            continue
-        if rule.kind in (EIGEN, FREEVAR):
-            x, body = parts
-            y, inst_body = fresh_copy((x, body), ())
-            if rule.kind == EIGEN:
-                sk = skolem_term("s", ())
-                bnd = Bindings()
-                bnd.bind(y, sk)
-                inst_body = bnd.resolve_formula(inst_body)
-                return RuleApplication(
-                    rule.id, pol, f, _quantifier_premise(rule, f, inst_body), skolem=sk
-                )
-            return RuleApplication(
-                rule.id, pol, f, _quantifier_premise(rule, f, inst_body), new_var=y
-            )
-        return RuleApplication(rule.id, pol, f, _propositional_premises(rule, parts))
-    raise LookupError(f"no rule for {f} at polarity {pol}")
 
 
 def _is_ground(formulas) -> bool:
@@ -388,28 +299,32 @@ class LhtSearch:
         if (yield from self._closures(left, right)):
             return
 
-        # first matching invertible rule commits
-        for rule in _COMMITTED:
-            side = left if rule.pol == 1 else right
+        # the invertible rule first in the table commits, on its leftmost
+        # principal; the free-variable pairs are alternatives
+        best = None
+        freevar = []
+        for pol, side in ((1, left), (0, right)):
             for idx, f in enumerate(side):
-                parts = _SHAPES[rule.shape](f)
-                if parts is not None:
-                    yield from self._apply(rule, parts, idx, left, right, pos, freev)
-                    return
-
-        # free-variable rules: all (rule, position) pairs are alternatives
-        for rule in _FREEVAR_RULES:
-            side = left if rule.pol == 1 else right
-            for idx, f in enumerate(side):
-                parts = _SHAPES[rule.shape](f)
-                if parts is None:
+                hit = _lookup(f, pol)
+                if hit is None:
                     continue
-                if len(freev) >= self.var_limit:
-                    self.blocked = True
-                    continue
-                yield from self._apply(rule, parts, idx, left, right, pos, freev)
+                rank, rule = hit
+                if rule.kind == FREEVAR:
+                    freevar.append((rank, rule, idx))
+                elif best is None or rank < best[0]:
+                    best = (rank, rule, idx)
+        if best is not None:
+            yield from self._apply(best[1], best[2], left, right, pos, freev)
+            return
+        # in table order, then left to right (the sort is stable)
+        freevar.sort(key=itemgetter(0))
+        for _, rule, idx in freevar:
+            if len(freev) >= self.var_limit:
+                self.blocked = True
+                continue
+            yield from self._apply(rule, idx, left, right, pos, freev)
 
-    def _apply(self, rule, parts, idx, left, right, pos, freev) -> Iterator[ProofNode]:
+    def _apply(self, rule, idx, left, right, pos, freev) -> Iterator[ProofNode]:
         if rule.pol == 1:
             principal = left[idx]
             l0, r0 = left[:idx] + left[idx + 1 :], right
@@ -420,7 +335,8 @@ class LhtSearch:
         mark = self.bnd.mark()
         new_var = witness = instance = None
         freev2 = freev
-        if rule.kind in (EIGEN, FREEVAR):
+        parts = _operands(principal)
+        if rule.premises is None:
             x, body = parts
             y, inst = fresh_copy((x, body), freev, self.bnd)
             instance = inst
@@ -432,7 +348,7 @@ class LhtSearch:
                 freev2 = freev + [y]
             adds = _quantifier_premise(rule, principal, inst)
         else:
-            adds = _propositional_premises(rule, parts)
+            adds = rule.premises(*parts)
 
         premises = [((*la, *l0), (*ra, *r0)) for la, ra in adds]
         try:

@@ -5,7 +5,8 @@ re-derives every node from its conclusion: leaves must satisfy one of
 the two axioms, and each internal node's children must be exactly the
 premises the named rule produces from the conclusion and the recorded
 quantifier witness.  The walk shares no state with the search; it only
-reuses the rule table's premise schemas.
+reads the rule table, through `lht.rule_of`, so a node's named rule
+must be the one its principal's shape gives.
 
 Quantifier nodes are checked against the free-variable/skolemized rule
 forms: the instance must be the principal's body with the binder
@@ -15,15 +16,7 @@ and skolem witnesses must come from the reserved symbol namespace.
 
 from __future__ import annotations
 
-from .lht import (
-    EIGEN,
-    FREEVAR,
-    ProofNode,
-    RULES,
-    _SHAPES,
-    _propositional_premises,
-    _quantifier_premise,
-)
+from .lht import EIGEN, ProofNode, _quantifier_premise, rule_of
 from .terms import (
     Atom,
     Formula,
@@ -34,8 +27,6 @@ from .terms import (
     is_literal,
     substitute,
 )
-
-_RULES_BY_ID = {r.id: r for r in RULES}
 
 
 class ProofError(AssertionError):
@@ -93,20 +84,21 @@ def check_proof(node: ProofNode) -> None:
             raise ProofError("axiom1 formula must be a literal unless identical")
         return
 
-    rule = _RULES_BY_ID.get(node.rule)
-    if rule is None:
-        raise ProofError(f"unknown rule {node.rule}")
     if node.principal is None:
         raise ProofError(f"{node.rule} node without principal formula")
-    parts = _SHAPES[rule.shape](node.principal)
-    if parts is None:
-        raise ProofError(f"{node.rule} does not match principal {node.principal}")
+    for pol in (1, 0):
+        hit = rule_of(node.principal, pol)
+        if hit is not None and hit[0].id == node.rule:
+            break
+    else:
+        raise ProofError(f"{node.rule} is not a rule for principal {node.principal}")
+    rule, parts = hit
     if rule.pol == 1:
         l0, r0 = _remove_one(left, node.principal), right
     else:
         l0, r0 = left, _remove_one(right, node.principal)
 
-    if rule.kind in (EIGEN, FREEVAR):
+    if rule.premises is None:
         x, body = parts
         if node.witness is None or node.instance is None:
             raise ProofError(f"{node.rule} node lacks witness or instance")
@@ -119,7 +111,7 @@ def check_proof(node: ProofNode) -> None:
             )
         adds = _quantifier_premise(rule, node.principal, node.instance)
     else:
-        adds = _propositional_premises(rule, parts)
+        adds = rule.premises(*parts)
 
     if len(adds) != len(node.children):
         raise ProofError(

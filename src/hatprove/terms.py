@@ -217,9 +217,6 @@ class Bindings:
         self._map: dict[int, Term] = {}
         self._trail: list[int] = []
 
-    def __len__(self):
-        return len(self._map)
-
     def mark(self) -> int:
         return len(self._trail)
 
@@ -423,19 +420,6 @@ def formula_size(f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def atoms_of(f: Formula) -> set:
-    """Propositional atom names, sorted order is up to the caller."""
-    if isinstance(f, Atom):
-        return {f.pred}
-    if isinstance(f, Neg):
-        return atoms_of(f.body)
-    if isinstance(f, BINARY):
-        return atoms_of(f.left) | atoms_of(f.right)
-    if isinstance(f, QUANT):
-        return atoms_of(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 # ============================================================
 # Fresh copies and skolem terms
 # ============================================================
@@ -570,7 +554,7 @@ def struct_equal(f: Formula, g: Formula, bnd: Bindings) -> bool:
     With nothing bound this is dataclass equality, which compares
     variables and quantifier binders by id.
     """
-    if not bnd:
+    if not bnd._map:
         return f == g
 
     def tv(a: Term, b: Term) -> bool:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hatprove.embedding import signature_of
 from hatprove.frontend import (
     ParseError,
     add_equality_axioms,
@@ -21,7 +22,6 @@ from hatprove.terms import (
     Neg,
     Or,
     alpha_equal,
-    atoms_of,
 )
 from hatprove.verdicts import Verdict
 from support import random_formula
@@ -184,7 +184,7 @@ def test_assemble_empty_problem():
 def test_assemble_preserves_predicates():
     prob = parse_problem("fof(a,axiom,p). fof(b,axiom,q(a)). fof(c,conjecture,r).")
     goal = assemble_goal(prob)
-    assert atoms_of(goal) == {"p", "q", "r"}
+    assert signature_of(goal) == [("p", 0), ("q", 1), ("r", 0)]
 
 
 # ============================================================

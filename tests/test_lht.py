@@ -9,10 +9,14 @@ from hatprove.frontend import (
     parse_problem,
 )
 from hatprove.lht import (
+    EIGEN,
+    FREEVAR,
+    RULES,
     LhtSearch,
     _freeze,
+    _quantifier_premise,
     prove_lht,
-    rule_lookup,
+    rule_of,
 )
 from hatprove.oracle import (
     HERE,
@@ -28,11 +32,13 @@ from hatprove.terms import (
     Atom,
     Exists,
     Forall,
+    Iff,
     Imp,
     Neg,
     Or,
     Var,
     con,
+    fresh_copy,
 )
 from hatprove.verdicts import Verdict
 from support import enumerate_formulas, random_formula
@@ -53,61 +59,73 @@ def pa(t):
 
 
 def test_imp_right_two_premises():
-    app = rule_lookup(Imp(p, q), 0)
-    assert app.rule == "r13"
-    assert app.premises == [([p], [q]), ([Neg(q)], [Neg(p)])]
+    rule, parts = rule_of(Imp(p, q), 0)
+    assert rule.id == "r13"
+    assert rule.premises(*parts) == [([p], [q]), ([Neg(q)], [Neg(p)])]
 
 
 def test_and_left_single_premise():
-    app = rule_lookup(And(p, q), 1)
-    assert app.rule == "r1"
-    assert app.premises == [([p, q], [])]
+    rule, parts = rule_of(And(p, q), 1)
+    assert rule.id == "r1"
+    assert rule.premises(*parts) == [([p, q], [])]
 
 
 def test_neg_or_left():
-    app = rule_lookup(Neg(Or(p, q)), 1)
-    assert app.rule == "r4"
-    assert app.premises == [([Neg(p), Neg(q)], [])]
+    rule, parts = rule_of(Neg(Or(p, q)), 1)
+    assert rule.id == "r4"
+    assert rule.premises(*parts) == [([Neg(p), Neg(q)], [])]
 
 
 def test_neg_or_right_corrected():
     # the corrected rule puts the negations on the right of both premises
-    app = rule_lookup(Neg(Or(p, q)), 0)
-    assert app.rule == "r11"
-    assert app.premises == [([], [Neg(p)]), ([], [Neg(q)])]
+    rule, parts = rule_of(Neg(Or(p, q)), 0)
+    assert rule.id == "r11"
+    assert rule.premises(*parts) == [([], [Neg(p)]), ([], [Neg(q)])]
 
 
 def test_imp_left_three_premises():
-    app = rule_lookup(Imp(p, q), 1)
-    assert app.rule == "r14"
-    assert app.premises == [([Neg(p)], []), ([], [p, Neg(q)]), ([q], [])]
+    rule, parts = rule_of(Imp(p, q), 1)
+    assert rule.id == "r14"
+    assert rule.premises(*parts) == [([Neg(p)], []), ([], [p, Neg(q)]), ([q], [])]
 
 
 def test_forall_left_retains_principal():
     f = Forall(X, pa(X))
-    app = rule_lookup(f, 1)
-    assert app.rule == "r25"
-    (left_add, right_add), = app.premises
+    rule, (x, body) = rule_of(f, 1)
+    assert rule.id == "r25"
+    assert rule.kind == FREEVAR      # instantiated with a new variable
+    _, inst = fresh_copy((x, body), ())
+    (left_add, right_add), = _quantifier_premise(rule, f, inst)
     assert right_add == []
     assert left_add[1] is f          # retained original
     assert isinstance(left_add[0], Atom)
-    assert app.new_var is not None
 
 
 def test_forall_right_skolemizes():
     f = Forall(X, pa(X))
-    app = rule_lookup(f, 0)
-    assert app.rule == "r21"
-    assert app.skolem is not None
+    rule, _ = rule_of(f, 0)
+    assert rule.id == "r21"
+    assert rule.kind == EIGEN
 
 
 def test_literal_has_no_rule():
-    import pytest
+    assert rule_of(p, 0) is None
+    assert rule_of(Neg(p), 1) is None  # negated atom is axiom material
 
-    with pytest.raises(LookupError):
-        rule_lookup(p, 0)
-    with pytest.raises(LookupError):
-        rule_lookup(Neg(p), 1)  # negated atom is axiom material
+
+def test_every_rule_has_one_shape():
+    plain = [And(p, q), Or(p, q), Imp(p, q), Iff(p, q), Forall(X, pa(X)), Exists(X, pa(X))]
+    found = {}
+    for f in plain + [Neg(g) for g in plain] + [Neg(Neg(p))]:
+        for pol in (0, 1):
+            rule, _ = rule_of(f, pol)
+            assert rule.id not in found, rule.id
+            found[rule.id] = (f, pol)
+    assert len(found) == len(RULES) == 26
+    assert set(found) == {r.id for r in RULES}
+    for literal in (p, Neg(p), pa(X), Neg(pa(X))):
+        for pol in (0, 1):
+            assert rule_of(literal, pol) is None
 
 
 # ============================================================
@@ -187,13 +205,13 @@ def test_axiom_close_returns_extended_substitution():
     # the closing unifier holds while the closure is suspended
     assert search.bnd.resolve_term(X) == con("a")
     closures.close()
-    assert len(search.bnd) == 0
+    assert search.bnd.mark() == 0
     assert _close([p], [q])[0] is None
     # syntactic identity closes without binding anything
     f = Imp(p, q)
     leaf, search = _close([f], [f])
     assert leaf is not None
-    assert len(search.bnd) == 0
+    assert search.bnd.mark() == 0
 
 
 def _horn(n, gap=None):
@@ -352,23 +370,25 @@ def test_first_order_proofs_checked():
 
 
 def test_size_decreases_to_premise_replacements():
-    from hatprove.lht import RULES, _SHAPES, _propositional_premises
+    from hatprove.lht import PROP
     from hatprove.terms import formula_size
 
     f_by_shape = {
-        "and": And(p, Or(p, q)),
-        "or": Or(And(p, q), q),
-        "imp": Imp(Or(p, q), q),
-        "neg_and": Neg(And(Or(p, q), q)),
-        "neg_or": Neg(Or(p, And(p, q))),
-        "neg_imp": Neg(Imp(p, Or(p, q))),
-        "neg_neg": Neg(Neg(Or(p, q))),
+        (And, False): And(p, Or(p, q)),
+        (Or, False): Or(And(p, q), q),
+        (Imp, False): Imp(Or(p, q), q),
+        (And, True): Neg(And(Or(p, q), q)),
+        (Or, True): Neg(Or(p, And(p, q))),
+        (Imp, True): Neg(Imp(p, Or(p, q))),
+        (Neg, True): Neg(Neg(Or(p, q))),
     }
     for rule in RULES:
-        if rule.shape not in f_by_shape or rule.kind not in ("nonsplit", "split"):
+        # the equivalence rules duplicate their operands
+        if rule.kind != PROP or rule.conn is Iff:
             continue
-        f = f_by_shape[rule.shape]
-        parts = _SHAPES[rule.shape](f)
-        for left_add, right_add in _propositional_premises(rule, parts):
+        f = f_by_shape[(rule.conn, rule.negated)]
+        found, parts = rule_of(f, rule.pol)
+        assert found is rule
+        for left_add, right_add in rule.premises(*parts):
             for g in left_add + right_add:
                 assert formula_size(g) < formula_size(f), rule.id

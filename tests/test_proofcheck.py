@@ -1,0 +1,63 @@
+from dataclasses import replace
+
+import pytest
+
+from hatprove.frontend import parse_native_formula
+from hatprove.lht import LhtSearch
+from hatprove.proofcheck import ProofError, check_proof
+from hatprove.terms import And, Atom, Imp, Or, con, substitute
+
+p, q = Atom("p"), Atom("q")
+
+
+def _proof(f):
+    proof = LhtSearch(1).first_proof((), (f,))
+    check_proof(proof)
+    return proof
+
+
+def test_rejects_unknown_rule():
+    proof = _proof(Or(Imp(p, q), Imp(q, p)))
+    with pytest.raises(ProofError, match="r99 is not a rule"):
+        check_proof(replace(proof, rule="r99"))
+
+
+def test_rejects_rule_that_does_not_fit_the_principal():
+    proof = _proof(And(Imp(p, p), Imp(q, q)))
+    assert proof.rule == "r8"
+    with pytest.raises(ProofError, match="r13 is not a rule"):
+        check_proof(replace(proof, rule="r13"))
+
+
+def test_rejects_missing_premise():
+    proof = _proof(Imp(p, p))
+    assert proof.rule == "r13" and len(proof.children) == 2
+    with pytest.raises(ProofError, match="expects 2 premises"):
+        check_proof(replace(proof, children=proof.children[:1]))
+
+
+def test_rejects_premise_missing_a_formula():
+    proof = _proof(Imp(p, p))
+    first = proof.children[0]
+    short = replace(first, left=first.left[1:])
+    with pytest.raises(ProofError, match="size mismatch"):
+        check_proof(replace(proof, children=(short,) + proof.children[1:]))
+
+
+def test_rejects_axiom_pair_outside_the_sequent():
+    proof = _proof(Imp(p, p))
+    leaf = proof.children[0]
+    assert leaf.rule == "axiom1" and leaf.closing == (p, p)
+    with pytest.raises(ProofError, match="not on the left"):
+        check_proof(replace(leaf, closing=(q, q)))
+
+
+def test_rejects_eigen_witness_that_is_not_skolem():
+    f = parse_native_formula("all X: (p(X) => p(X))", close=True)
+    proof = _proof(f)
+    assert proof.rule == "r21"
+    a = con("a")
+    # the instance fits the witness, so only the witness's symbol is wrong
+    forged = replace(proof, witness=a, instance=substitute(f.body, f.var, a))
+    with pytest.raises(ProofError, match="not a skolem term"):
+        check_proof(forged)

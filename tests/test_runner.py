@@ -151,22 +151,49 @@ def test_cli_prints_countermodel(capsys):
     assert "% countermodel: D={0..1} H={} T={p(0,1),p(1,0)}" in out
 
 
+def _cli_env() -> dict:
+    """The environment for running the CLI from this checkout."""
+    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
 def test_cli_closed_pipe_exits_quietly(tmp_path):
     write(tmp_path, "t1.p", "fof(c, conjecture, p => p).")
     write(tmp_path, "t2.p", "fof(c, conjecture, p | ~p).")
-    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.Popen(
         [sys.executable, "-m", "hatprove.cli", str(tmp_path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_cli_env(),
     )
     proc.stdout.close()  # the reader is gone before anything is written
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+def test_cli_same_verdicts_under_optimize():
+    # python -O strips asserts: no check the verdicts rest on may be one
+    files = [str(MINI / "instantiation.p"), str(MINI / "peirce.p")]
+    for backend in ("lht", "conn"):
+        szs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "hatprove.cli", "--backend", backend,
+                 "--timeout", "5", *files],
+                capture_output=True,
+                text=True,
+                env=_cli_env(),
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            szs.append([line for line in proc.stdout.splitlines() if "SZS" in line])
+        assert szs[0] == szs[1], backend
+        assert szs[1] == [
+            "% SZS status Theorem for instantiation",
+            "% SZS status Non-Theorem for peirce",
+        ], backend
 
 
 def test_cli_empty_dir_exit_code(tmp_path):

@@ -64,7 +64,7 @@ def test_unify_one_binding():
 def test_unify_occurs_check():
     bnd = Bindings()
     assert not unify_occurs(X, Fun("f", (X,)), bnd)
-    assert len(bnd) == 0
+    assert bnd.mark() == 0
 
 
 def test_unify_two_bindings():
