@@ -11,6 +11,7 @@ from hatprove.frontend import (
 from hatprove.lht import (
     EIGEN,
     FREEVAR,
+    PROP,
     RULES,
     LhtSearch,
     _freeze,
@@ -370,7 +371,6 @@ def test_first_order_proofs_checked():
 
 
 def test_size_decreases_to_premise_replacements():
-    from hatprove.lht import PROP
     from hatprove.terms import formula_size
 
     f_by_shape = {
