@@ -44,6 +44,7 @@ from .matrix import (
     copy_clause,
     iter_clauses,
     iter_literals,
+    node_chain,
 )
 from .prefixes import (
     BudgetExceeded,
@@ -112,23 +113,15 @@ class ConnSearch:
 
     # -- relations ---------------------------------------------------------
 
-    def _chain(self, node) -> list:
-        out = []
-        cur = node.clause if isinstance(node, MatLit) else node
-        while cur is not None:
-            out.append(cur)
-            cur = cur.parent
-        return out
-
     def _alpha_related(self, lit: MatLit, clause: MatClause) -> bool:
-        lit_chain = self._chain(lit)
-        clause_ids = {id(n) for n in self._chain(clause)}
+        lit_chain = node_chain(lit)
+        clause_ids = {id(n) for n in node_chain(clause)}
         common = next((n for n in lit_chain if id(n) in clause_ids), None)
         return isinstance(common, MatMatrix)
 
     def _contains_lit_of(self, clause: MatClause, lits) -> bool:
         for l in lits:
-            if any(n is clause for n in self._chain(l)):
+            if any(n is clause for n in node_chain(l)):
                 return True
         return False
 

@@ -16,42 +16,14 @@ from __future__ import annotations
 from typing import Iterable
 
 from .frontend import conjoin
-from .terms import (
-    Atom,
-    BINARY,
-    Exists,
-    Forall,
-    Formula,
-    Imp,
-    Neg,
-    Or,
-    QUANT,
-    fresh_var,
-)
+from .terms import Atom, Exists, Forall, Formula, Imp, Neg, Or, fresh_var, signature
 
 Signature = "list[tuple[str, int]]"
 
 
 def signature_of(f: Formula) -> list:
     """Predicate symbols with arities, in first-occurrence order."""
-    seen: dict[str, int] = {}
-
-    def go(g: Formula):
-        if isinstance(g, Atom):
-            if g.pred not in seen:
-                seen[g.pred] = len(g.args)
-        elif isinstance(g, Neg):
-            go(g.body)
-        elif isinstance(g, BINARY):
-            go(g.left)
-            go(g.right)
-        elif isinstance(g, QUANT):
-            go(g.body)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    go(f)
-    return list(seen.items())
+    return signature(f)[0]
 
 
 def _literal(pred: str, arity: int, negated: bool):
@@ -109,7 +81,8 @@ def sqht_instances(sig: Iterable) -> list:
 
 
 def ht_axioms(f: Formula) -> list:
-    return hos_instances(signature_of(f)) + sqht_instances(signature_of(f))
+    sig = signature_of(f)
+    return hos_instances(sig) + sqht_instances(sig)
 
 
 def embed(f: Formula) -> Formula:

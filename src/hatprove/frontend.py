@@ -26,7 +26,6 @@ from typing import Optional
 from .terms import (
     And,
     Atom,
-    BINARY,
     Exists,
     Forall,
     Formula,
@@ -39,6 +38,9 @@ from .terms import (
     Term,
     Var,
     fresh_var,
+    signature,
+    subformulas,
+    term_vars,
 )
 
 EQ = "="
@@ -426,15 +428,7 @@ class _TptpParser(_Parser):
 
 
 def formula_uses_equality(f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return f.pred == EQ
-    if isinstance(f, Neg):
-        return formula_uses_equality(f.body)
-    if isinstance(f, BINARY):
-        return formula_uses_equality(f.left) or formula_uses_equality(f.right)
-    if isinstance(f, QUANT):
-        return formula_uses_equality(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return any(isinstance(g, Atom) and g.pred == EQ for g in subformulas(f))
 
 
 def parse_problem(
@@ -493,30 +487,10 @@ def assemble_goal(prob: Problem) -> Formula:
 # ============================================================
 
 
-def _signature(f: Formula, preds: dict, funs: dict):
-    def from_term(t: Term):
-        if isinstance(t, Fun):
-            if t.args and t.sym not in funs:
-                funs[t.sym] = len(t.args)
-            for a in t.args:
-                from_term(a)
-
-    if isinstance(f, Atom):
-        if f.pred != EQ and f.args and f.pred not in preds:
-            preds[f.pred] = len(f.args)
-        for a in f.args:
-            from_term(a)
-    elif isinstance(f, Neg):
-        _signature(f.body, preds, funs)
-    elif isinstance(f, BINARY):
-        _signature(f.left, preds, funs)
-        _signature(f.right, preds, funs)
-    elif isinstance(f, QUANT):
-        _signature(f.body, preds, funs)
-
-
 def equality_axioms(f: Formula) -> list:
-    """Reflexivity, symmetry, transitivity and per-position congruence."""
+    """Reflexivity, symmetry, transitivity and per-position congruence:
+    for each function of f, then each predicate other than `=`, in the
+    order of `signature`."""
     x = fresh_var("X")
     y = fresh_var("Y")
     z = fresh_var("Z")
@@ -526,26 +500,17 @@ def equality_axioms(f: Formula) -> list:
         Forall(x, Forall(y, Imp(eq(x, y), eq(y, x)))),
         Forall(x, Forall(y, Forall(z, Imp(And(eq(x, y), eq(y, z)), eq(x, z))))),
     ]
-    preds: dict[str, int] = {}
-    funs: dict[str, int] = {}
-    _signature(f, preds, funs)
-    for sym, arity in funs.items():
+    preds, funs = signature(f)
+    # (build, relate): f(xs) = f(ys) for a function, p(xs) => p(ys) for a predicate
+    shapes = [(Fun, eq, s, n) for s, n in funs]
+    shapes += [(Atom, Imp, s, n) for s, n in preds if s != EQ]
+    for build, relate, sym, arity in shapes:
         for i in range(arity):
             xs = [fresh_var(f"X{k + 1}") for k in range(arity)]
             w = fresh_var("Y")
             ys = list(xs)
             ys[i] = w
-            body = Imp(eq(xs[i], w), eq(Fun(sym, tuple(xs)), Fun(sym, tuple(ys))))
-            for v in reversed(xs + [w]):
-                body = Forall(v, body)
-            axioms.append(body)
-    for sym, arity in preds.items():
-        for i in range(arity):
-            xs = [fresh_var(f"X{k + 1}") for k in range(arity)]
-            w = fresh_var("Y")
-            ys = list(xs)
-            ys[i] = w
-            body = Imp(eq(xs[i], w), Imp(Atom(sym, tuple(xs)), Atom(sym, tuple(ys))))
+            body = Imp(eq(xs[i], w), relate(build(sym, tuple(xs)), build(sym, tuple(ys))))
             for v in reversed(xs + [w]):
                 body = Forall(v, body)
             axioms.append(body)
@@ -603,36 +568,17 @@ def to_native(f: Formula) -> str:
 
 def _display_names(f: Formula) -> dict:
     """One valid, unambiguous display name per variable id."""
-    ids: list[int] = []
-    hints: dict[int, str] = {}
-
-    def from_term(t: Term):
-        if isinstance(t, Var):
-            if t.id not in hints:
-                ids.append(t.id)
-                hints[t.id] = t.name
-        else:
-            for a in t.args:
-                from_term(a)
-
-    def walk(g: Formula):
-        if isinstance(g, Atom):
+    hints: dict[int, str] = {}  # id -> name hint, in first-occurrence order
+    for g in subformulas(f):
+        if isinstance(g, QUANT):
+            hints.setdefault(g.var.id, g.var.name)
+        elif isinstance(g, Atom):
             for a in g.args:
-                from_term(a)
-        elif isinstance(g, Neg):
-            walk(g.body)
-        elif isinstance(g, BINARY):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, QUANT):
-            from_term(g.var)
-            walk(g.body)
-
-    walk(f)
+                for v in term_vars(a):
+                    hints.setdefault(v.id, v.name)
     used: set[str] = set()
     names: dict[int, str] = {}
-    for vid in ids:
-        base = hints[vid]
+    for vid, base in hints.items():
         if not re.fullmatch(r"[A-Z_][A-Za-z0-9_]*", base):
             base = "V"
         cand = base

@@ -46,7 +46,6 @@ from typing import Callable, Iterator, Optional
 
 from .oracle import HERE, MAX_DOMAIN, eval_ht_fo, ht_countermodel_fo
 from .terms import (
-    BINARY,
     And,
     Atom,
     Bindings,
@@ -64,6 +63,7 @@ from .terms import (
     is_literal,
     skolem_term,
     struct_equal,
+    subformulas,
     term_vars,
     unify_literals,
 )
@@ -161,20 +161,11 @@ def _quantifier_premise(rule: RuleDef, principal: Formula, instance: Formula) ->
 
 def _is_ground(formulas) -> bool:
     """True iff no variable and no quantifier occurs in the formulas."""
-    work = list(formulas)
-    while work:
-        g = work.pop()
-        if isinstance(g, Atom):
-            if any(term_vars(a) for a in g.args):
-                return False
-        elif isinstance(g, Neg):
-            work.append(g.body)
-        elif isinstance(g, BINARY):
-            work.append(g.left)
-            work.append(g.right)
-        else:
-            return False
-    return True
+    return not any(
+        isinstance(g, QUANT) or (isinstance(g, Atom) and any(map(term_vars, g.args)))
+        for f in formulas
+        for g in subformulas(f)
+    )
 
 
 # ============================================================
@@ -182,7 +173,7 @@ def _is_ground(formulas) -> bool:
 # ============================================================
 
 
-@dataclass
+@dataclass(slots=True)
 class ProofNode:
     left: tuple
     right: tuple

@@ -49,9 +49,9 @@ from .terms import (
     Or,
     Term,
     Var,
+    free_vars,
     fresh_var,
     substitute,
-    term_vars,
 )
 
 # ============================================================
@@ -184,7 +184,7 @@ class MatrixBuilder:
         """Free term and prefix variables of the prefixed formula."""
         deps: list = []
         seen: set = set()
-        for v in sorted(_formula_vars(f), key=lambda v: v.id):
+        for v in sorted(free_vars(f), key=lambda v: v.id):
             if v.id not in seen:
                 seen.add(v.id)
                 deps.append(v)
@@ -264,27 +264,6 @@ def _set_parent(e, clause):
             c.parent = e
 
 
-def _formula_vars(f: Formula) -> set:
-    out: set = set()
-
-    def go(g):
-        if isinstance(g, Atom):
-            for a in g.args:
-                term_vars(a, out)
-        elif isinstance(g, Neg):
-            go(g.body)
-        elif isinstance(g, (And, Or, Imp, Iff)):
-            go(g.left)
-            go(g.right)
-        else:
-            out.discard(g.var)
-            go(g.body)
-            out.discard(g.var)
-
-    go(f)
-    return out
-
-
 def build_matrix(f: Formula) -> MatMatrix:
     """The intuitionistic non-clausal matrix M(f^0 : empty prefix)."""
     builder = MatrixBuilder()
@@ -333,8 +312,11 @@ def _occurrences(root: MatMatrix):
     return tocc, pocc
 
 
-def _node_chain(node):
+def node_chain(node) -> list:
+    """The clauses and matrices from node up to the root; a literal's
+    chain starts at its clause."""
     out = []
+    node = node.clause if isinstance(node, MatLit) else node
     while node is not None:
         out.append(node)
         node = node.parent
@@ -348,14 +330,14 @@ def _compute_renameable(root: MatMatrix) -> None:
     sibling element, whose instances must stay linked)."""
     tocc, pocc = _occurrences(root)
     for clause in iter_clauses(root):
-        chain_ids = {id(n) for n in _node_chain(clause)}
+        chain_ids = {id(n) for n in node_chain(clause)}
         tset, pset = set(), set()
         for occ, out in ((tocc, tset), (pocc, pset)):
             for key, homes in occ.items():
                 relevant = False
                 shared = False
                 for home in homes:
-                    chain = _node_chain(home)
+                    chain = node_chain(home)
                     if any(n is clause for n in chain):
                         relevant = True
                         continue

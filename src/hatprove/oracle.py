@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .terms import And, Atom, Exists, Forall, Formula, Fun, Iff, Imp, Neg, Or, Var
+from .terms import free_vars, signature, subformulas
 from .verdicts import SearchTimeout
 
 HERE = "here"
@@ -82,21 +83,13 @@ def eval_ht(f: Formula, interp: HTInterpretation, world: str = HERE) -> bool:
 
 def _prop_atoms(f: Formula) -> list:
     out = set()
-
-    def go(g):
+    for g in subformulas(f):
+        if isinstance(g, (Forall, Exists)):
+            raise QuantifierError("oracle handles propositional formulas only")
         if isinstance(g, Atom):
             if g.args:
                 raise QuantifierError("oracle handles propositional atoms only")
             out.add(g.pred)
-        elif isinstance(g, Neg):
-            go(g.body)
-        elif isinstance(g, (And, Or, Imp, Iff)):
-            go(g.left)
-            go(g.right)
-        else:
-            raise QuantifierError("oracle handles propositional formulas only")
-
-    go(f)
     return sorted(out)
 
 
@@ -241,29 +234,10 @@ def _eval_fo(f, model, consts, env, world) -> bool:
 def _fo_signature(f: Formula):
     """(predicates as (name, arity), constant symbols), or None when f
     has a free variable or a function symbol of arity one or more."""
-    preds, consts = set(), set()
-
-    def go(g, bound):
-        if isinstance(g, Atom):
-            preds.add((g.pred, len(g.args)))
-            for a in g.args:
-                if isinstance(a, Var):
-                    if a.id not in bound:
-                        return False
-                elif a.args:
-                    return False
-                else:
-                    consts.add(a.sym)
-            return True
-        if isinstance(g, Neg):
-            return go(g.body, bound)
-        if isinstance(g, (And, Or, Imp, Iff)):
-            return go(g.left, bound) and go(g.right, bound)
-        if isinstance(g, (Forall, Exists)):
-            return go(g.body, bound | {g.var.id})
-        raise TypeError(f"not a formula: {g!r}")
-
-    return (preds, consts) if go(f, frozenset()) else None
+    preds, funs = signature(f)
+    if free_vars(f) or any(n for _, n in funs):
+        return None
+    return preds, [c for c, _ in funs]
 
 
 def ht_countermodel_fo(

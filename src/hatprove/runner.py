@@ -2,7 +2,8 @@
 
 One problem file goes through parse, goal assembly, equality
 preprocessing, optionally the intuitionistic embedding, and one of the
-engines under a deadline.  Engine verdicts map onto SZS-style
+engines, all under one deadline: the engine gets what is left of the
+budget.  Engine verdicts map onto SZS-style
 statuses: Theorem for a proof, Non-Theorem for an exhausted complete
 search or a checked countermodel, Timeout, GaveUp, and Error for
 anything the pipeline rejects.
@@ -63,28 +64,25 @@ class RunResult:
         return f"% SZS status {self.status} for {self.problem}"
 
 
-def _engine(goal, cfg: RunConfig):
-    if cfg.backend == "lht":
-        return prove_lht(goal, timeout=cfg.timeout)
-    if cfg.backend == "lj":
-        return prove_lj(goal, timeout=cfg.timeout)
-    if cfg.backend == "lj-ht":
-        return prove_lj(embed(goal), timeout=cfg.timeout)
-    if cfg.backend == "conn":
-        return prove_conn(
-            goal,
-            timeout=cfg.timeout,
-            regularity=cfg.regularity,
-            restricted_bt=cfg.restricted_bt,
-        )
-    if cfg.backend == "conn-ht":
-        return prove_conn(
-            embed(goal),
-            timeout=cfg.timeout,
-            regularity=cfg.regularity,
-            restricted_bt=cfg.restricted_bt,
-        )
-    raise ValueError(f"unknown backend {cfg.backend!r}")
+def _engine(goal, cfg: RunConfig, start: float):
+    """Run the backend on the goal with what is left of the budget at
+    `start`; an embedding backend embeds the goal on that clock too."""
+    if cfg.backend not in BACKENDS:
+        raise ValueError(f"unknown backend {cfg.backend!r}")
+    engine = cfg.backend.removesuffix("-ht")
+    if engine != cfg.backend:
+        goal = embed(goal)
+    timeout = cfg.timeout - (time.monotonic() - start)
+    if engine == "lht":
+        return prove_lht(goal, timeout=timeout)
+    if engine == "lj":
+        return prove_lj(goal, timeout=timeout)
+    return prove_conn(
+        goal,
+        timeout=timeout,
+        regularity=cfg.regularity,
+        restricted_bt=cfg.restricted_bt,
+    )
 
 
 def load_goal(path, fmt: str, axiom_root=None):
@@ -105,7 +103,7 @@ def run_problem(path, cfg: RunConfig) -> RunResult:
     start = time.monotonic()
     try:
         goal = load_goal(path, cfg.fmt, cfg.axiom_root)
-        result = _engine(goal, cfg)
+        result = _engine(goal, cfg, start)
     except Exception as exc:
         return RunResult(
             name, cfg.backend, "Error", time.monotonic() - start, message=str(exc)

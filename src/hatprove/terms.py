@@ -1,8 +1,18 @@
 """First-order terms, formulas, substitution and unification.
 
-Shared representation for every prover in the package.  Terms are either
-variables or function applications (constants are zero-ary functions).
-Variable identity is an integer id; the name is a display hint only.
+The one formula layer of the package.  Terms are either variables or
+function applications (constants are zero-ary functions).  Variable
+identity is an integer id; the name is a display hint only.
+
+Every structural walk over a formula lives here, and other modules do
+not walk formula structure themselves; they split on a formula's shape
+only to apply a rule, build a matrix, evaluate or print.  The walkers
+`subformulas` (pre-order), `signature` and `free_vars` keep an explicit
+stack, so formula depth is bounded by memory, not by the recursion
+limit; `formula_size` counts `subformulas`.  The one rebuild,
+`map_terms`, maps the arguments of every atom and the binder of every
+quantifier and shares each part in which nothing changes;
+`substitute`, `fresh_copy` and `Bindings.resolve_formula` run on it.
 
 Proof search backtracks constantly, so bindings live in a trail-backed
 store (`Bindings`) that supports cheap mark/undo instead of persistent
@@ -20,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
+from functools import partial
 from operator import attrgetter, is_
 from typing import Iterable, Iterator, Optional, Union
 
@@ -250,34 +261,15 @@ class Bindings:
         term = self.walk(term)
         if not isinstance(term, Fun) or not term.args:
             return term
-        args = self._resolve_args(term.args)
+        args = _map_args(self.resolve_term, term.args)
         return term if args is term.args else Fun(term.sym, args)
-
-    def _resolve_args(self, args: tuple) -> tuple:
-        new = tuple([self.resolve_term(a) for a in args])
-        return args if all(map(is_, new, args)) else new
 
     def resolve_formula(self, f: Formula) -> Formula:
         """`f` under the current bindings; parts that no binding changes
         are returned as they are, with their kept hashes."""
         if not self._map:
             return f
-        if isinstance(f, Atom):
-            args = self._resolve_args(f.args)
-            return f if args is f.args else Atom(f.pred, args)
-        if isinstance(f, Neg):
-            body = self.resolve_formula(f.body)
-            return f if body is f.body else Neg(body)
-        if isinstance(f, BINARY):
-            left = self.resolve_formula(f.left)
-            right = self.resolve_formula(f.right)
-            if left is f.left and right is f.right:
-                return f
-            return type(f)(left, right)
-        if isinstance(f, QUANT):
-            body = self.resolve_formula(f.body)
-            return f if body is f.body else type(f)(f.var, body)
-        raise TypeError(f"not a formula: {f!r}")
+        return map_terms(f, partial(_map_args, self.resolve_term))
 
 
 def occurs_in(var: Var, term: Term, bnd: Bindings) -> bool:
@@ -342,82 +334,136 @@ def unify_literals(f1: Formula, f2: Formula, bnd: Bindings) -> bool:
 
 
 # ============================================================
-# Structural operations
+# Walks over formula structure
 # ============================================================
 
 
-def substitute(f: Formula, x: Var, t: Term) -> Formula:
-    """Replace every free occurrence of x in f by t.
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every subformula of f, f first: pre-order, left before right,
+    each quantifier before its body."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, BINARY):
+            stack.append(g.right)
+            stack.append(g.left)
+        elif isinstance(g, (Neg, Forall, Exists)):
+            stack.append(g.body)
+        elif not isinstance(g, Atom):
+            raise TypeError(f"not a formula: {g!r}")
 
-    Assumes f is rectified, so t's variables cannot be captured.
+
+def term_vars(term: Term) -> list:
+    """The distinct variables of a term, in first-occurrence order."""
+    out: dict = {}
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            out[t] = None
+        elif isinstance(t, Fun):
+            stack.extend(reversed(t.args))
+    return list(out)
+
+
+def signature(f: Formula) -> tuple:
+    """(predicates, functions) of f, each a list of distinct (symbol,
+    arity) pairs in first-occurrence order, constants included.
+
+    Atoms come in `subformulas` order; within an atom the terms are read
+    left to right, each function before its arguments.
     """
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_subst_term(a, x, t) for a in f.args))
-    if isinstance(f, Neg):
-        return Neg(substitute(f.body, x, t))
-    if isinstance(f, BINARY):
-        return type(f)(substitute(f.left, x, t), substitute(f.right, x, t))
-    if isinstance(f, QUANT):
-        if f.var.id == x.id:
-            return f
-        return type(f)(f.var, substitute(f.body, x, t))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _subst_term(term: Term, x: Var, t: Term) -> Term:
-    if isinstance(term, Var):
-        return t if term.id == x.id else term
-    if not term.args:
-        return term
-    return Fun(term.sym, tuple(_subst_term(a, x, t) for a in term.args))
-
-
-def term_vars(term: Term, acc: Optional[set] = None) -> set:
-    if acc is None:
-        acc = set()
-    if isinstance(term, Var):
-        acc.add(term)
-    elif isinstance(term, Fun):
-        for a in term.args:
-            term_vars(a, acc)
-    return acc
+    preds: dict = {}
+    funs: dict = {}
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            preds[g.pred, len(g.args)] = None
+            stack = list(reversed(g.args))
+            while stack:
+                t = stack.pop()
+                if isinstance(t, Fun):
+                    funs[t.sym, len(t.args)] = None
+                    stack.extend(reversed(t.args))
+    return list(preds), list(funs)
 
 
 def free_vars(f: Formula) -> set:
     """Variables with at least one occurrence outside any binder's scope."""
     out: set = set()
-    _free_vars(f, set(), out)
+    stack = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        if isinstance(g, Atom):
+            out.update(v for a in g.args for v in term_vars(a) if v.id not in bound)
+        elif isinstance(g, QUANT):
+            stack.append((g.body, bound | {g.var.id}))
+        elif isinstance(g, Neg):
+            stack.append((g.body, bound))
+        elif isinstance(g, BINARY):
+            stack += ((g.left, bound), (g.right, bound))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
     return out
-
-
-def _free_vars(f: Formula, bound: set, out: set) -> None:
-    if isinstance(f, Atom):
-        for a in f.args:
-            for v in term_vars(a):
-                if v.id not in bound:
-                    out.add(v)
-    elif isinstance(f, Neg):
-        _free_vars(f.body, bound, out)
-    elif isinstance(f, BINARY):
-        _free_vars(f.left, bound, out)
-        _free_vars(f.right, bound, out)
-    elif isinstance(f, QUANT):
-        _free_vars(f.body, bound | {f.var.id}, out)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
 
 
 def formula_size(f: Formula) -> int:
     """Number of atoms, connectives and quantifiers in f."""
+    return sum(1 for _ in subformulas(f))
+
+
+def _map_args(fn, args: tuple) -> tuple:
+    """`fn` applied to each term of args; args itself when nothing changes."""
+    new = tuple([fn(a) for a in args])
+    return args if all(map(is_, new, args)) else new
+
+
+def map_terms(f: Formula, on_args, on_var=None) -> Formula:
+    """f with each atom's arguments replaced by `on_args(args)` and, given
+    `on_var`, each quantifier's binder by `on_var(binder)`, visited
+    left before right and each binder before its body.
+
+    A binder mapped to None keeps its quantifier as it is, body and all.
+    A part in which nothing changes (the mapped arguments and binders
+    are the objects passed in) is returned as it is, with its kept hash.
+    """
     if isinstance(f, Atom):
-        return 1
+        args = on_args(f.args)
+        return f if args is f.args else Atom(f.pred, args)
     if isinstance(f, Neg):
-        return 1 + formula_size(f.body)
+        body = map_terms(f.body, on_args, on_var)
+        return f if body is f.body else Neg(body)
     if isinstance(f, BINARY):
-        return 1 + formula_size(f.left) + formula_size(f.right)
+        left = map_terms(f.left, on_args, on_var)
+        right = map_terms(f.right, on_args, on_var)
+        if left is f.left and right is f.right:
+            return f
+        return type(f)(left, right)
     if isinstance(f, QUANT):
-        return 1 + formula_size(f.body)
+        var = f.var if on_var is None else on_var(f.var)
+        if var is None:
+            return f
+        body = map_terms(f.body, on_args, on_var)
+        return f if var is f.var and body is f.body else type(f)(var, body)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def substitute(f: Formula, x: Var, t: Term) -> Formula:
+    """Replace every free occurrence of x in f by t.
+
+    A binder of x shadows x in its scope.  Assumes f is rectified, so
+    t's variables cannot be captured.
+    """
+
+    def sub(term: Term) -> Term:
+        if isinstance(term, Var):
+            return t if term.id == x.id else term
+        if not isinstance(term, Fun):
+            return term  # opaque leaf (e.g. a prefix variable in a skolem term)
+        args = _map_args(sub, term.args)
+        return term if args is term.args else Fun(term.sym, args)
+
+    return map_terms(f, partial(_map_args, sub), lambda v: None if v.id == x.id else v)
 
 
 # ============================================================
@@ -436,10 +482,7 @@ def fresh_copy(payload, frozen: Iterable[Var], bnd: Optional[Bindings] = None):
     """
     if bnd is None:
         bnd = Bindings()
-    frozen_ids: set = set()
-    for v in frozen:
-        for w in term_vars(bnd.resolve_term(v)):
-            frozen_ids.add(w.id)
+    frozen_ids = {w.id for v in frozen for w in term_vars(bnd.resolve_term(v))}
     mapping: dict[int, Var] = {}
 
     def cp_term(t: Term) -> Term:
@@ -455,15 +498,7 @@ def fresh_copy(payload, frozen: Iterable[Var], bnd: Optional[Bindings] = None):
         return Fun(t.sym, tuple(cp_term(a) for a in t.args))
 
     def cp_formula(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.pred, tuple(cp_term(a) for a in f.args))
-        if isinstance(f, Neg):
-            return Neg(cp_formula(f.body))
-        if isinstance(f, BINARY):
-            return type(f)(cp_formula(f.left), cp_formula(f.right))
-        if isinstance(f, QUANT):
-            return type(f)(cp_term(f.var), cp_formula(f.body))
-        raise TypeError(f"not a formula: {f!r}")
+        return map_terms(f, partial(_map_args, cp_term), cp_term)
 
     if isinstance(payload, Formula):
         return cp_formula(payload)

@@ -219,3 +219,20 @@ def test_congruence_only_for_present_symbols():
     assert len(axioms) == 3
     f2 = parse_problem("fof(c,conjecture, a = b => (p(a) => p(b))).").conjecture
     assert len(equality_axioms(f2)) == 4
+
+
+def test_equality_axioms_text_and_order():
+    # functions before predicates, each in first-occurrence order: the
+    # axioms' order sets the search order on problems with equality
+    f = parse_native_formula("q(g(X, a)) => p(f(X), Y) , X = Y", close=True)
+    assert [to_native(ax) for ax in equality_axioms(f)] == [
+        "(all X: X = X)",
+        "(all X: (all Y: (X = Y => Y = X)))",
+        "(all X: (all Y: (all Z: ((X = Y , Y = Z) => X = Z))))",
+        "(all X1: (all X2: (all Y: (X1 = Y => g(X1,X2) = g(Y,X2)))))",
+        "(all X1: (all X2: (all Y: (X2 = Y => g(X1,X2) = g(X1,Y)))))",
+        "(all X1: (all Y: (X1 = Y => f(X1) = f(Y))))",
+        "(all X1: (all Y: (X1 = Y => (q(X1) => q(Y)))))",
+        "(all X1: (all X2: (all Y: (X1 = Y => (p(X1,X2) => p(Y,X2))))))",
+        "(all X1: (all X2: (all Y: (X2 = Y => (p(X1,X2) => p(X1,Y))))))",
+    ]

@@ -162,3 +162,11 @@ def test_gamma_variable_distributes_over_alpha():
             for v in _vars(a)
         }
         assert tvars <= c.rename_tvars
+
+
+def test_prefix_variable_in_a_skolem_term_survives_substitution():
+    # the negative universal puts a prefix variable on the prefix, so the
+    # skolem term of the inner positive universal carries one
+    f = parse_native_formula("(~ (all X: all Y: p(X,Y))) => q", close=True)
+    lits = list(iter_literals(build_matrix(f)))
+    assert sorted(l.pred for l in lits) == ["p", "q"]

@@ -130,6 +130,30 @@ def test_deadline_honored_with_grace(tmp_path):
     assert result.seconds < 0.5 + 0.5  # cooperative deadline plus grace
 
 
+def test_embedding_is_charged_to_the_deadline(monkeypatch):
+    import time
+
+    from hatprove import runner
+
+    embed, prove_lj = runner.embed, runner.prove_lj
+    budgets = []
+
+    def slow_embed(goal):
+        time.sleep(0.3)
+        return embed(goal)
+
+    def recording_prove_lj(goal, timeout):
+        budgets.append(timeout)
+        return prove_lj(goal, timeout=timeout)
+
+    monkeypatch.setattr(runner, "embed", slow_embed)
+    monkeypatch.setattr(runner, "prove_lj", recording_prove_lj)
+    result = run_problem(MINI / "linearity_dist.p", RunConfig(backend="lj-ht", timeout=0.5))
+    assert result.status == "Timeout"
+    assert budgets and budgets[0] <= 0.5 - 0.3  # the engine gets what is left
+    assert result.seconds < 0.5 + 0.5  # cooperative deadline plus grace
+
+
 # ============================================================
 # CLI entry point
 # ============================================================

@@ -24,8 +24,10 @@ from hatprove.terms import (
     free_vars,
     fresh_copy,
     fresh_var,
+    signature,
     skolem_term,
     struct_equal,
+    subformulas,
     substitute,
     unify_occurs,
 )
@@ -169,6 +171,49 @@ def test_free_vars():
     assert free_vars(Forall(X, Atom("p", (X, Y)))) == {Y}
     assert free_vars(And(Atom("p"), Atom("q"))) == set()
     assert free_vars(Imp(Exists(X, pa(X)), pa(Y))) == {Y}
+
+
+def test_subformulas_pre_order():
+    f = Imp(And(pa(a), Neg(Atom("q"))), Forall(X, Or(pa(X), Exists(Y, Atom("r", (X, Y))))))
+    assert list(subformulas(f)) == [
+        f,
+        f.left,
+        pa(a),
+        Neg(Atom("q")),
+        Atom("q"),
+        f.right,
+        f.right.body,
+        pa(X),
+        f.right.body.right,
+        Atom("r", (X, Y)),
+    ]
+
+
+def test_signature_first_occurrence_with_constants():
+    f = Or(Atom("q", (Fun("g", (b, Fun("f", (X,)))),)), And(pa(a), Atom("q", (a,))))
+    preds, funs = signature(f)
+    assert preds == [("q", 1), ("p", 1)]
+    assert funs == [("g", 2), ("b", 0), ("f", 1), ("a", 0)]
+    assert signature(Forall(X, Atom("r"))) == ([("r", 0)], [])
+
+
+def _deep_formula(n):
+    """(p0 => (p1 => ... (all X: X = a))) with n implications, built
+    without recursion; it is never hashed or printed."""
+    f = Forall(X, Atom("=", (X, a)))
+    for i in reversed(range(n)):
+        f = Imp(Atom(f"p{i % 3}"), f)
+    return f
+
+
+def test_walkers_do_not_recurse():
+    from hatprove.frontend import formula_uses_equality
+
+    f = _deep_formula(10_000)
+    assert formula_size(f) == 2 * 10_000 + 2
+    assert free_vars(f) == set()
+    assert signature(f) == ([("p0", 0), ("p1", 0), ("p2", 0), ("=", 2)], [("a", 0)])
+    assert formula_uses_equality(f)
 
 
 def test_substitute_removes_free_var():
