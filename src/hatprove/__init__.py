@@ -2,7 +2,7 @@
 
 A native sequent prover, an axiomatic embedding into intuitionistic
 logic discharged by a single-succedent sequent prover and a prefixed
-non-clausal connection prover, and a brute-force propositional oracle
+non-clausal connection prover, and a brute-force here-and-there oracle
 used as ground truth.
 """
 

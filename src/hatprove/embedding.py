@@ -18,8 +18,6 @@ from typing import Iterable
 from .frontend import conjoin
 from .terms import Atom, Exists, Forall, Formula, Imp, Neg, Or, fresh_var, signature
 
-Signature = "list[tuple[str, int]]"
-
 
 def signature_of(f: Formula) -> list:
     """Predicate symbols with arities, in first-occurrence order."""

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
-from .oracle import HERE, MAX_DOMAIN, eval_ht_fo, ht_countermodel_fo
+from .oracle import HERE, MAX_DOMAIN, eval_ht, ht_countermodel_fo
 from .terms import (
     And,
     Atom,
@@ -189,11 +189,6 @@ class ProofNode:
         return (0 if self.rule.startswith("axiom") else 1) + sum(
             c.rule_applications() for c in self.children
         )
-
-    def leaves(self) -> int:
-        if not self.children:
-            return 1
-        return sum(c.leaves() for c in self.children)
 
 
 def _freeze(node: ProofNode, bnd: Bindings) -> ProofNode:
@@ -399,7 +394,7 @@ def prove_lht(f: Formula, timeout: Optional[float] = None) -> ProverResult:
         if limit > MAX_DOMAIN:
             return None
         model = ht_countermodel_fo(f, limit, deadline)
-        if model is not None and not eval_ht_fo(f, model, HERE):
+        if model is not None and not eval_ht(f, model, HERE):
             return model
         return None
 

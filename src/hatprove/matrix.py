@@ -182,15 +182,10 @@ class MatrixBuilder:
 
     def _deps(self, f: Formula, prefix: tuple) -> list:
         """Free term and prefix variables of the prefixed formula."""
-        deps: list = []
-        seen: set = set()
-        for v in sorted(free_vars(f), key=lambda v: v.id):
-            if v.id not in seen:
-                seen.add(v.id)
-                deps.append(v)
+        deps = sorted(free_vars(f), key=lambda v: v.id)
         for s in prefix:
-            if isinstance(s, PVar) and s.id not in seen:
-                seen.add(s.id)
+            # compare objects: Var and PVar ids come from separate counters
+            if isinstance(s, PVar) and s not in deps:
                 deps.append(s)
         return deps
 

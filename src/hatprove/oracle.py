@@ -1,17 +1,25 @@
-"""Brute-force validity oracles.
+"""Brute-force here-and-there oracle.
 
-The here-and-there oracle enumerates all interpretations (H, T) with
-H subseteq T over the formula's atoms: each atom is either absent,
-true only at `there`, or true at both worlds, so n atoms make 3^n
-interpretations.  Classical validity enumerates ordinary truth tables.
-These are the ground truth every prover is tested against.
+One evaluator, `_eval`, works on a whole block of interpretations at
+once.  A model is a constant domain {0, ..., size-1}, an assignment of
+the constant symbols to elements (rigid, the same at both worlds) and
+a pair H subseteq T of ground atoms `(pred, args)`; a propositional
+atom is `(pred, ())` over the one-element domain.  Each ground atom
+carries two integer bit masks with one bit per interpretation, its
+truth at `here` and at `there`, and `_eval` returns the pair of masks
+of a formula, so each connective is a few bitwise operations.
+Equality is an ordinary predicate, as it is for the provers, which get
+its axioms from the goal.
 
-A separate first-order evaluator and finite refuter cover closed,
-function-free formulas: a constant domain of one to three elements,
-rigid constants, and H subseteq T over ground atoms.  Equality is an
-ordinary predicate, as it is for the provers, which get its axioms
-from the goal.  A countermodel found there is a finite HT model in
-which the formula is false at `here`, so the formula is not HT-valid.
+Interpretations are numbered in enumeration order: atoms sorted, the
+first atom most significant, and per atom 0 = absent, 1 = true only at
+`there`, 2 = true at both worlds; constant assignments vary slowest.
+The lowest zero bit of the `here` mask is therefore the first
+countermodel.  A block gives bit positions to at most the last
+BLOCK_ATOMS atoms; the earlier ones are fixed per block, in the same
+order.  The `there` world is classical and T ranges over every subset,
+so classical validity is a full `there` mask.  These are the ground
+truth every prover is tested against.
 """
 
 from __future__ import annotations
@@ -19,14 +27,25 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import and_, or_
 from typing import Optional
 
-from .terms import And, Atom, Exists, Forall, Formula, Fun, Iff, Imp, Neg, Or, Var
+from .terms import QUANT, And, Atom, Forall, Formula, Fun, Iff, Imp, Neg, Or
 from .terms import free_vars, signature, subformulas
 from .verdicts import SearchTimeout
 
 HERE = "here"
 THERE = "there"
+
+# 3^10 bits, about 7 KB a mask
+BLOCK_ATOMS = 10
+
+# The first-order refuter declines beyond a domain of three elements
+# and beyond 3^9 = 19683 models (constant assignments times (H, T)
+# pairs), which also caps the ground atoms at nine.
+MAX_DOMAIN = 3
+MAX_MODELS = 3**9
 
 
 class QuantifierError(ValueError):
@@ -35,137 +54,21 @@ class QuantifierError(ValueError):
 
 @dataclass(frozen=True)
 class HTInterpretation:
-    here: frozenset
-    there: frozenset
-
-    def __post_init__(self):
-        if not self.here <= self.there:
-            raise ValueError("persistence requires H subseteq T")
-
-    def __str__(self):
-        return f"H={{{','.join(sorted(self.here))}}} T={{{','.join(sorted(self.there))}}}"
-
-
-def eval_ht(f: Formula, interp: HTInterpretation, world: str = HERE) -> bool:
-    """Kripke evaluation over the two-world frame h <= t.
-
-    Conjunction and disjunction are pointwise; implication and negation
-    at `here` quantify over both worlds, at `there` they are classical.
-    """
-    if isinstance(f, Atom):
-        if f.args:
-            raise QuantifierError("oracle handles propositional atoms only")
-        w = interp.here if world == HERE else interp.there
-        return f.pred in w
-    if isinstance(f, And):
-        return eval_ht(f.left, interp, world) and eval_ht(f.right, interp, world)
-    if isinstance(f, Or):
-        return eval_ht(f.left, interp, world) or eval_ht(f.right, interp, world)
-    if isinstance(f, Imp):
-        if world == THERE:
-            return (not eval_ht(f.left, interp, THERE)) or eval_ht(f.right, interp, THERE)
-        return ((not eval_ht(f.left, interp, HERE)) or eval_ht(f.right, interp, HERE)) and (
-            (not eval_ht(f.left, interp, THERE)) or eval_ht(f.right, interp, THERE)
-        )
-    if isinstance(f, Iff):
-        return eval_ht(Imp(f.left, f.right), interp, world) and eval_ht(
-            Imp(f.right, f.left), interp, world
-        )
-    if isinstance(f, Neg):
-        # ~G is G -> falsum: at `here` G must fail at both worlds
-        if world == THERE:
-            return not eval_ht(f.body, interp, THERE)
-        return not eval_ht(f.body, interp, HERE) and not eval_ht(f.body, interp, THERE)
-    if isinstance(f, (Forall, Exists)):
-        raise QuantifierError("oracle handles propositional formulas only")
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _prop_atoms(f: Formula) -> list:
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, (Forall, Exists)):
-            raise QuantifierError("oracle handles propositional formulas only")
-        if isinstance(g, Atom):
-            if g.args:
-                raise QuantifierError("oracle handles propositional atoms only")
-            out.add(g.pred)
-    return sorted(out)
-
-
-def ht_interpretations(atom_names) -> "itertools.product":
-    """All (H, T) pairs with H subseteq T, in enumeration order.
-
-    Per atom: 0 = absent, 1 = there only, 2 = both worlds.
-    """
-    names = sorted(atom_names)
-    for values in itertools.product((0, 1, 2), repeat=len(names)):
-        here = frozenset(n for n, v in zip(names, values) if v == 2)
-        there = frozenset(n for n, v in zip(names, values) if v >= 1)
-        yield HTInterpretation(here, there)
-
-
-def ht_countermodel(f: Formula) -> Optional[HTInterpretation]:
-    """Smallest interpretation (in enumeration order) falsifying f at here."""
-    for interp in ht_interpretations(_prop_atoms(f)):
-        if not eval_ht(f, interp, HERE):
-            return interp
-    return None
-
-
-def ht_valid_prop(f: Formula) -> bool:
-    """Valid in propositional here-and-there: true at `here` in all models."""
-    return ht_countermodel(f) is None
-
-
-def classical_valid_prop(f: Formula) -> bool:
-    """Two-valued truth-table validity."""
-    names = _prop_atoms(f)
-    for values in itertools.product((False, True), repeat=len(names)):
-        assign = dict(zip(names, values))
-        if not _eval_classical(f, assign):
-            return False
-    return True
-
-
-def _eval_classical(f: Formula, assign: dict) -> bool:
-    if isinstance(f, Atom):
-        return assign[f.pred]
-    if isinstance(f, And):
-        return _eval_classical(f.left, assign) and _eval_classical(f.right, assign)
-    if isinstance(f, Or):
-        return _eval_classical(f.left, assign) or _eval_classical(f.right, assign)
-    if isinstance(f, Imp):
-        return (not _eval_classical(f.left, assign)) or _eval_classical(f.right, assign)
-    if isinstance(f, Iff):
-        return _eval_classical(f.left, assign) == _eval_classical(f.right, assign)
-    if isinstance(f, Neg):
-        return not _eval_classical(f.body, assign)
-    raise QuantifierError("oracle handles propositional formulas only")
-
-
-# ============================================================
-# First-order interpretations over a finite constant domain
-# ============================================================
-
-# The refuter declines beyond a domain of three elements and beyond
-# 3^9 = 19683 models (constant assignments times (H, T) pairs), which
-# also caps the ground atoms at nine.
-MAX_DOMAIN = 3
-MAX_MODELS = 3**9
-
-
-@dataclass(frozen=True)
-class HTStructure(HTInterpretation):
-    """A first-order HT interpretation over the domain {0, ..., size-1}.
+    """An HT interpretation over the domain {0, ..., size-1}.
 
     `here` and `there` hold ground atoms `(pred, args)` with `args` a
     tuple of domain elements; `constants` pairs each constant symbol
     with its element, the same at both worlds.
     """
 
+    here: frozenset
+    there: frozenset
     size: int = 1
     constants: tuple = ()
+
+    def __post_init__(self):
+        if not self.here <= self.there:
+            raise ValueError("persistence requires H subseteq T")
 
     def __str__(self):
         def atoms(world):
@@ -178,71 +81,139 @@ class HTStructure(HTInterpretation):
         return f"D={{0..{self.size - 1}}}{consts} H={{{atoms(self.here)}}} T={{{atoms(self.there)}}}"
 
 
-def eval_ht_fo(f: Formula, model: HTStructure, world: str = HERE) -> bool:
-    """Kripke evaluation of a closed, function-free first-order formula.
+def _eval(f: Formula, masks: dict, full: int, size: int, env: dict) -> tuple:
+    """The (here, there) masks of f: bit i is set where f is true in
+    interpretation i.
 
-    The connectives are evaluated as in `eval_ht`.  Quantifiers range
-    over the constant domain; by persistence a universal at `here`
-    needs only its instances at `here`.
+    `masks` maps ground atoms to their mask pairs (absent: false
+    everywhere), `full` has a bit for every interpretation, and `env`
+    maps bound variables and constants, both as terms, to elements.
+    Implication and negation at `here` look at both worlds, at `there`
+    they are classical; by persistence a universal at `here` needs only
+    its instances at `here`.
     """
-    return _eval_fo(f, model, dict(model.constants), {}, world)
-
-
-def _eval_fo(f, model, consts, env, world) -> bool:
     if isinstance(f, Atom):
-        args = []
-        for a in f.args:
-            if isinstance(a, Var) and a.id in env:
-                args.append(env[a.id])
-            elif isinstance(a, Fun) and not a.args and a.sym in consts:
-                args.append(consts[a.sym])
-            else:
-                raise ValueError(f"{a} is not a bound variable or a known constant")
-        w = model.here if world == HERE else model.there
-        return (f.pred, tuple(args)) in w
-    if isinstance(f, And):
-        return _eval_fo(f.left, model, consts, env, world) and _eval_fo(
-            f.right, model, consts, env, world
-        )
-    if isinstance(f, Or):
-        return _eval_fo(f.left, model, consts, env, world) or _eval_fo(
-            f.right, model, consts, env, world
-        )
-    if isinstance(f, Imp):
-        worlds = (THERE,) if world == THERE else (HERE, THERE)
-        return all(
-            not _eval_fo(f.left, model, consts, env, w)
-            or _eval_fo(f.right, model, consts, env, w)
-            for w in worlds
-        )
-    if isinstance(f, Iff):
-        return _eval_fo(Imp(f.left, f.right), model, consts, env, world) and _eval_fo(
-            Imp(f.right, f.left), model, consts, env, world
-        )
+        try:
+            key = f.pred, tuple(map(env.__getitem__, f.args))
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]} is not a bound variable or a known constant") from None
+        return masks.get(key, (0, 0))
     if isinstance(f, Neg):
-        worlds = (THERE,) if world == THERE else (HERE, THERE)
-        return not any(_eval_fo(f.body, model, consts, env, w) for w in worlds)
-    if isinstance(f, (Forall, Exists)):
-        test = all if isinstance(f, Forall) else any
-        return test(
-            _eval_fo(f.body, model, consts, {**env, f.var.id: d}, world)
-            for d in range(model.size)
-        )
+        h, t = _eval(f.body, masks, full, size, env)
+        return full ^ (h | t), full ^ t
+    if isinstance(f, QUANT):
+        op, h, t = (and_, full, full) if isinstance(f, Forall) else (or_, 0, 0)
+        for d in range(size):
+            bh, bt = _eval(f.body, masks, full, size, {**env, f.var: d})
+            h, t = op(h, bh), op(t, bt)
+        return h, t
+    lh, lt = _eval(f.left, masks, full, size, env)
+    rh, rt = _eval(f.right, masks, full, size, env)
+    if isinstance(f, And):
+        return lh & rh, lt & rt
+    if isinstance(f, Or):
+        return lh | rh, lt | rt
+    there = (full ^ lt) | rt
+    if isinstance(f, Imp):
+        return ((full ^ lh) | rh) & there, there
+    if isinstance(f, Iff):
+        back = (full ^ rt) | lt
+        return ((full ^ lh) | rh) & ((full ^ rh) | lh) & there & back, there & back
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _fo_signature(f: Formula):
-    """(predicates as (name, arity), constant symbols), or None when f
-    has a free variable or a function symbol of arity one or more."""
-    preds, funs = signature(f)
-    if free_vars(f) or any(n for _, n in funs):
-        return None
-    return preds, [c for c, _ in funs]
+@lru_cache(maxsize=None)
+def _atom_masks(j: int, n: int) -> tuple:
+    """The (here, there) masks of atom j of a block of n: its value is
+    the base-3 digit of weight 3^(n-1-j) in the interpretation's number."""
+    weight = 3 ** (n - 1 - j)
+    # one bit at the start of every period of 3 * weight interpretations
+    starts = ((1 << 3**n) - 1) // ((1 << 3 * weight) - 1)
+    here = ((1 << weight) - 1) << 2 * weight
+    there = ((1 << 2 * weight) - 1) << weight
+    return here * starts, there * starts
+
+
+def _blocks(f: Formula, atoms: list, size: int = 1, consts: list = (), deadline=None):
+    """Evaluate f in every model over the sorted `atoms`, a block at a time.
+
+    Yields (here, there, full, constants, fixed) per block in
+    enumeration order, where `fixed` holds the values of the atoms
+    before the block's.  Raises SearchTimeout once the deadline has
+    passed, checked per block.
+    """
+    outer, inner = atoms[:-BLOCK_ATOMS], atoms[-BLOCK_ATOMS:]
+    n = len(inner)
+    full = (1 << 3**n) - 1
+    block = {a: _atom_masks(j, n) for j, a in enumerate(inner)}
+    for values in itertools.product(range(size), repeat=len(consts)):
+        constants = tuple(zip(consts, values))
+        env = {Fun(c): d for c, d in constants}
+        for fixed in itertools.product((0, 1, 2), repeat=len(outer)):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout
+            masks = {a: (full if v == 2 else 0, full if v else 0) for a, v in zip(outer, fixed)}
+            masks.update(block)
+            here, there = _eval(f, masks, full, size, env)
+            yield here, there, full, constants, fixed
+
+
+def _countermodel(f: Formula, atoms: list, size=1, consts=(), deadline=None):
+    """The first model in enumeration order falsifying f at `here`."""
+    n = min(len(atoms), BLOCK_ATOMS)
+    for here, _, full, constants, fixed in _blocks(f, atoms, size, consts, deadline):
+        missing = full ^ here
+        if missing:
+            i = (missing & -missing).bit_length() - 1
+            values = fixed + tuple(i // 3 ** (n - 1 - j) % 3 for j in range(n))
+            return HTInterpretation(
+                frozenset(a for a, v in zip(atoms, values) if v == 2),
+                frozenset(a for a, v in zip(atoms, values) if v),
+                size,
+                constants,
+            )
+    return None
+
+
+def _prop_atoms(f: Formula) -> list:
+    atoms = set()
+    for g in subformulas(f):
+        if isinstance(g, QUANT) or isinstance(g, Atom) and g.args:
+            raise QuantifierError("oracle handles propositional formulas only")
+        if isinstance(g, Atom):
+            atoms.add((g.pred, ()))
+    return sorted(atoms)
+
+
+def eval_ht(f: Formula, model: HTInterpretation, world: str = HERE) -> bool:
+    """Kripke evaluation of a closed, function-free formula at `world`
+    of the two-world frame h <= t, as a block of one interpretation."""
+    masks = {a: (int(a in model.here), 1) for a in model.there}
+    env = {Fun(c): d for c, d in model.constants}
+    here, there = _eval(f, masks, 1, model.size, env)
+    return bool(here if world == HERE else there)
+
+
+def ht_countermodel(f: Formula) -> Optional[HTInterpretation]:
+    """First interpretation (in enumeration order) falsifying the
+    propositional formula f at `here`; raises QuantifierError on a
+    quantifier or an atom with arguments."""
+    return _countermodel(f, _prop_atoms(f))
+
+
+def ht_valid_prop(f: Formula) -> bool:
+    """Valid in propositional here-and-there: true at `here` in all models."""
+    return all(h == full for h, _, full, _, _ in _blocks(f, _prop_atoms(f)))
+
+
+def classical_valid_prop(f: Formula) -> bool:
+    """Two-valued validity: true at `there` for every T."""
+    return all(t == full for _, t, full, _, _ in _blocks(f, _prop_atoms(f)))
 
 
 def ht_countermodel_fo(
     f: Formula, size: int, deadline: Optional[float] = None
-) -> Optional[HTStructure]:
+) -> Optional[HTInterpretation]:
     """A model on the domain {0, ..., size-1} falsifying f at `here`.
 
     Enumerates every constant assignment and every (H, T) over the
@@ -252,23 +223,13 @@ def ht_countermodel_fo(
     MAX_MODELS models to try.  Raises SearchTimeout once the deadline
     has passed.
     """
-    sig = _fo_signature(f)
-    if sig is None or not 1 <= size <= MAX_DOMAIN:
+    preds, funs = signature(f)
+    if free_vars(f) or any(n for _, n in funs) or not 1 <= size <= MAX_DOMAIN:
         return None
-    preds, consts = sig
-    domain = range(size)
-    atoms = [
-        (p, args) for p, n in preds for args in itertools.product(domain, repeat=n)
-    ]
-    consts = sorted(consts)
+    consts = sorted(c for c, _ in funs)
+    atoms = sorted(
+        (p, args) for p, n in preds for args in itertools.product(range(size), repeat=n)
+    )
     if size ** len(consts) * 3 ** len(atoms) > MAX_MODELS:
         return None
-    for values in itertools.product(domain, repeat=len(consts)):
-        constants = tuple(zip(consts, values))
-        for interp in ht_interpretations(atoms):
-            if deadline is not None and time.monotonic() > deadline:
-                raise SearchTimeout
-            model = HTStructure(interp.here, interp.there, size, constants)
-            if not eval_ht_fo(f, model, HERE):
-                return model
-    return None
+    return _countermodel(f, atoms, size, consts, deadline)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from hatprove.terms import And, Atom, Imp, Neg, Or
+from hatprove.oracle import HTInterpretation
+from hatprove.terms import And, Atom, Exists, Forall, Iff, Imp, Neg, Or, Var
+from hatprove.terms import fresh_var, signature
 
 # ============================================================
 # Propositional formula corpora
@@ -42,6 +44,82 @@ def random_formula(rng: random.Random, size: int, atom_names=("p", "q", "r")):
     left = random_formula(rng, ls, atom_names)
     right = random_formula(rng, size - 1 - ls, atom_names)
     return rng.choice([And, Or, Imp])(left, right)
+
+
+def random_fo_formula(rng: random.Random, size: int, bound: tuple = ()):
+    """A closed, function-free formula with about `size` nodes over
+    unary p, q and nullary r; quantifiers bind fresh variables."""
+    if size <= 1:
+        pred = rng.choice(("p", "q", "r")) if bound else "r"
+        return Atom(pred, (rng.choice(bound),) if pred != "r" else ())
+    if size == 2 or rng.random() < 0.3:
+        if rng.random() < 0.4:
+            return Neg(random_fo_formula(rng, size - 1, bound))
+        x = fresh_var(f"X{len(bound) + 1}")
+        body = random_fo_formula(rng, size - 1, bound + (x,))
+        return rng.choice([Forall, Exists])(x, body)
+    ls = rng.randint(1, size - 2)
+    left = random_fo_formula(rng, ls, bound)
+    right = random_fo_formula(rng, size - 1 - ls, bound)
+    return rng.choice([And, Or, Imp])(left, right)
+
+
+# ============================================================
+# Pointwise first-order HT evaluator
+# ============================================================
+#
+# Independent of the production oracle's bit masks: one model, one
+# world, one connective at a time, written from the Kripke semantics of
+# the two-world frame here <= there over a constant domain.
+
+
+def ht_holds(f, model: HTInterpretation, world: str = "here", env=None) -> bool:
+    """Truth of a closed, function-free formula at `world` of `model`;
+    `env` maps bound variable ids and constant symbols to elements."""
+    env = dict(model.constants) if env is None else env
+    if isinstance(f, Atom):
+        args = tuple(env[a.id] if isinstance(a, Var) else env[a.sym] for a in f.args)
+        return (f.pred, args) in (model.here if world == "here" else model.there)
+    if isinstance(f, And):
+        return ht_holds(f.left, model, world, env) and ht_holds(f.right, model, world, env)
+    if isinstance(f, Or):
+        return ht_holds(f.left, model, world, env) or ht_holds(f.right, model, world, env)
+    # implication and negation at `here` look at both worlds
+    worlds = ("there",) if world == "there" else ("here", "there")
+    if isinstance(f, Imp):
+        return all(
+            not ht_holds(f.left, model, w, env) or ht_holds(f.right, model, w, env)
+            for w in worlds
+        )
+    if isinstance(f, Iff):
+        return ht_holds(Imp(f.left, f.right), model, world, env) and ht_holds(
+            Imp(f.right, f.left), model, world, env
+        )
+    if isinstance(f, Neg):
+        return not any(ht_holds(f.body, model, w, env) for w in worlds)
+    test = all if isinstance(f, Forall) else any
+    return test(
+        ht_holds(f.body, model, world, {**env, f.var.id: d}) for d in range(model.size)
+    )
+
+
+def all_models(f, size: int = 1):
+    """Every HT model of the closed, function-free f on {0, ..., size-1}:
+    constant assignments first, then per sorted ground atom 0 = absent,
+    1 = there only, 2 = both worlds, the first atom varying slowest."""
+    preds, funs = signature(f)
+    consts = sorted(c for c, _ in funs)
+    atoms = sorted(
+        (p, args) for p, n in preds for args in itertools.product(range(size), repeat=n)
+    )
+    for values in itertools.product(range(size), repeat=len(consts)):
+        for digits in itertools.product((0, 1, 2), repeat=len(atoms)):
+            yield HTInterpretation(
+                frozenset(a for a, v in zip(atoms, digits) if v == 2),
+                frozenset(a for a, v in zip(atoms, digits) if v),
+                size,
+                tuple(zip(consts, values)),
+            )
 
 
 # ============================================================

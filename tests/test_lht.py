@@ -19,11 +19,12 @@ from hatprove.lht import (
     prove_lht,
     rule_of,
 )
+from hatprove.lj import prove_lj
 from hatprove.oracle import (
     HERE,
     MAX_DOMAIN,
     classical_valid_prop,
-    eval_ht_fo,
+    eval_ht,
     ht_countermodel_fo,
     ht_valid_prop,
 )
@@ -42,7 +43,7 @@ from hatprove.terms import (
     fresh_copy,
 )
 from hatprove.verdicts import Verdict
-from support import enumerate_formulas, random_formula
+from support import enumerate_formulas, ht_holds, random_fo_formula, random_formula
 
 p, q = Atom("p"), Atom("q")
 F1 = Or(Imp(p, q), Imp(q, p))
@@ -170,6 +171,10 @@ def test_axiom_sign_mismatch():
 # ============================================================
 
 
+def _leaves(node):
+    return sum(map(_leaves, node.children)) if node.children else 1
+
+
 def test_f1_proof_matches_reference_tree():
     proof = LhtSearch(1).first_proof((), (F1,))
     assert proof is not None
@@ -177,7 +182,7 @@ def test_f1_proof_matches_reference_tree():
     # disjunction split, then three implication-right applications
     assert proof.rule == "r2"
     assert proof.rule_applications() == 4
-    assert proof.leaves() == 4
+    assert _leaves(proof) == 4
     top = proof.children[0]
     assert top.rule == "r13"
     assert all(c.rule == "r13" for c in top.children)
@@ -313,7 +318,7 @@ def test_quantifier_shift_refuted_by_checked_countermodel():
     assert result.verdict is Verdict.REFUTED
     assert result.countermodel is not None
     assert result.countermodel.size == 2
-    assert not eval_ht_fo(f, result.countermodel, HERE)
+    assert not eval_ht(f, result.countermodel, HERE)
 
 
 def test_no_countermodel_for_proved_goals():
@@ -337,6 +342,28 @@ def test_no_countermodel_for_proved_goals():
     for goal in goals:
         for size in range(1, MAX_DOMAIN + 1):
             assert ht_countermodel_fo(goal, size) is None, (goal, size)
+
+
+def test_first_order_soundness_of_lht_and_lj():
+    # no Theorem has a finite countermodel, every countermodel lht
+    # attaches is false at `here` under the reference evaluator, and lj
+    # (intuitionistic, so weaker than HT) never proves what lht refutes
+    rng = random.Random(7)
+    theorems = models = 0
+    for _ in range(100):
+        f = random_fo_formula(rng, rng.randint(3, 8))
+        by_lht = prove_lht(f, timeout=0.2)
+        by_lj = prove_lj(f, timeout=0.2)
+        for name, result in (("lht", by_lht), ("lj", by_lj)):
+            if result.proved:
+                theorems += 1
+                for size in range(1, MAX_DOMAIN + 1):
+                    assert ht_countermodel_fo(f, size) is None, (name, f, size)
+        if by_lht.countermodel is not None:
+            models += 1
+            assert not ht_holds(f, by_lht.countermodel, HERE), f
+        assert not (by_lj.proved and by_lht.verdict is Verdict.REFUTED), f
+    assert theorems and models
 
 
 def test_proofs_validate_and_match_oracle_small():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from hatprove import matrix, terms
 from hatprove.frontend import parse_native_formula
 from hatprove.matrix import (
     MatLit,
@@ -170,3 +171,15 @@ def test_prefix_variable_in_a_skolem_term_survives_substitution():
     f = parse_native_formula("(~ (all X: all Y: p(X,Y))) => q", close=True)
     lits = list(iter_literals(build_matrix(f)))
     assert sorted(l.pred for l in lits) == ["p", "q"]
+
+
+def test_prefix_and_term_variables_with_equal_ids_are_both_dependencies(monkeypatch):
+    # Var and PVar ids come from two separate counters; make them meet,
+    # as they can in a long process, so that the term variable X and the
+    # prefix variable V1 share an id
+    monkeypatch.setattr(terms, "_var_counter", itertools.count(10**6))
+    monkeypatch.setattr(matrix, "_pvar_counter", itertools.count(10**6))
+    f = parse_native_formula("(all X: (p(X) => r)) => q", close=True)
+    assert matrix_str(build_matrix(f)) == (
+        "{{p(x1)^0:a1V1V2a2(x1,V1,V2),r^1:a1V1V2V3},{q^0:a1a3}}"
+    )
