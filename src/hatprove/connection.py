@@ -24,6 +24,13 @@ the latter incomplete and therefore only one pass of the strategy
 schedule; exhausting the complete pass without ever hitting the copy
 limit refutes.  The deepening loop is `verdicts.deepen`, shared with the
 sequent provers, and the matrix is built once per call.
+
+This module runs the search only.  Every question about the matrix's
+structure goes to `matrix`: which clauses and literals there are
+(`iter_clauses`, `iter_literals`), whether a clause holds a path literal
+(`contains`), where a literal and a clause diverge (`meet`), the prefix
+variables of a constraint (`leaves`), copies and beta-clauses.  The
+prefix constraints go to the unifier in `prefixes`.
 """
 
 from __future__ import annotations
@@ -41,10 +48,12 @@ from .matrix import (
     MatMatrix,
     beta_clause,
     build_matrix,
+    contains,
     copy_clause,
     iter_clauses,
     iter_literals,
-    node_chain,
+    leaves,
+    meet,
 )
 from .prefixes import (
     BudgetExceeded,
@@ -56,19 +65,6 @@ from .prefixes import (
 )
 from .terms import Bindings, Formula, unify_occurs
 from .verdicts import ProverResult, SearchTimeout, Verdict, deepen
-
-
-
-def _pvar_ids(prefix) -> frozenset:
-    out = set()
-    for s in prefix:
-        if isinstance(s, PVar):
-            out.add(s.id)
-        else:
-            for a in s.args:
-                if isinstance(a, PVar):
-                    out.add(a.id)
-    return frozenset(out)
 
 
 @dataclass
@@ -113,27 +109,13 @@ class ConnSearch:
 
     # -- relations ---------------------------------------------------------
 
-    def _alpha_related(self, lit: MatLit, clause: MatClause) -> bool:
-        lit_chain = node_chain(lit)
-        clause_ids = {id(n) for n in node_chain(clause)}
-        common = next((n for n in lit_chain if id(n) in clause_ids), None)
-        return isinstance(common, MatMatrix)
-
-    def _contains_lit_of(self, clause: MatClause, lits) -> bool:
-        for l in lits:
-            if any(n is clause for n in node_chain(l)):
-                return True
-        return False
-
     def _is_extension_clause(self, clause: MatClause, lits) -> bool:
-        if self._contains_lit_of(clause, lits):
+        if any(contains(clause, l) for l in lits):
             return True
-        if not all(self._alpha_related(l, clause) for l in lits):
+        if not all(isinstance(meet(l, clause), MatMatrix) for l in lits):
             return False
         parent = clause.parent.parent if clause.parent is not None else None
-        if parent is not None and not self._contains_lit_of(parent, lits):
-            return False
-        return True
+        return parent is None or any(contains(parent, l) for l in lits)
 
     # -- complementarity -----------------------------------------------------
 
@@ -159,7 +141,8 @@ class ConnSearch:
             if not unify_occurs(x, y, self.tb):
                 self.tb.undo_to(mark)
                 return False
-        self.constraints.append((lit.prefix, partner.prefix, _pvar_ids(lit.prefix) | _pvar_ids(partner.prefix)))
+        pvars = {v.id for v in leaves(lit.prefix + partner.prefix) if isinstance(v, PVar)}
+        self.constraints.append((lit.prefix, partner.prefix, pvars))
         if not self._component_satisfiable():
             self.constraints.pop()
             self.tb.undo_to(mark)

@@ -88,6 +88,10 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
         kind = m.lastgroup
         value = m.group()
+        if value.startswith("$"):
+            # $true, $false and the other defined words have no formula
+            # constant to stand for; read as atoms they change verdicts
+            raise ParseError(f"unsupported TPTP word {value!r}", line, pos - line_start + 1)
         if kind != "ws":
             tokens.append((kind, value, line, pos - line_start + 1))
         line += value.count("\n")

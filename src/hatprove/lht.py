@@ -65,6 +65,7 @@ from .terms import (
     struct_equal,
     subformulas,
     term_vars,
+    unfold_iff,
     unify_literals,
 )
 from .verdicts import ProverResult, SearchTimeout, deepen
@@ -88,10 +89,6 @@ class RuleDef:
     premises: Optional[Callable] = None  # operands -> [(left adds, right adds)]
 
 
-def _iff(a, b):
-    return And(Imp(a, b), Imp(b, a))
-
-
 # One entry per clause of the reference rule table, same order.  The
 # propositional operands are (left, right), or (a,) for ~ ~ a; the
 # quantifier operands are (binder, body).
@@ -110,10 +107,10 @@ RULES = (
     RuleDef("r12", 0, PROP, Imp, True, lambda a, b: [([Neg(a)], []), ([], [Neg(b)])]),
     RuleDef("r13", 0, PROP, Imp, False, lambda a, b: [([a], [b]), ([Neg(b)], [Neg(a)])]),
     RuleDef("r14", 1, PROP, Imp, False, lambda a, b: [([Neg(a)], []), ([], [a, Neg(b)]), ([b], [])]),
-    RuleDef("r15", 1, PROP, Iff, False, lambda a, b: [([_iff(a, b)], [])]),
-    RuleDef("r16", 0, PROP, Iff, False, lambda a, b: [([], [_iff(a, b)])]),
-    RuleDef("r17", 1, PROP, Iff, True, lambda a, b: [([Neg(_iff(a, b))], [])]),
-    RuleDef("r18", 0, PROP, Iff, True, lambda a, b: [([], [Neg(_iff(a, b))])]),
+    RuleDef("r15", 1, PROP, Iff, False, lambda a, b: [([unfold_iff(a, b)], [])]),
+    RuleDef("r16", 0, PROP, Iff, False, lambda a, b: [([], [unfold_iff(a, b)])]),
+    RuleDef("r17", 1, PROP, Iff, True, lambda a, b: [([Neg(unfold_iff(a, b))], [])]),
+    RuleDef("r18", 0, PROP, Iff, True, lambda a, b: [([], [Neg(unfold_iff(a, b))])]),
     RuleDef("r19", 1, EIGEN, Forall, True),
     RuleDef("r20", 0, EIGEN, Exists, True),
     RuleDef("r21", 0, EIGEN, Forall, False),

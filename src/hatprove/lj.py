@@ -41,6 +41,7 @@ from .terms import (
     fresh_copy,
     skolem_term,
     struct_equal,
+    unfold_iff,
     unify_literals,
 )
 from .verdicts import ProverResult, SearchTimeout, deepen
@@ -101,7 +102,7 @@ class LJSearch:
                 yield from self.prove(premise, right, "l" + pos, freev, hist)
                 return
             if isinstance(f, Iff):
-                expanded = And(Imp(f.left, f.right), Imp(f.right, f.left))
+                expanded = unfold_iff(f.left, f.right)
                 yield from self.prove(
                     self._insert(rest, expanded), right, "l" + pos, freev, hist
                 )
@@ -131,7 +132,7 @@ class LJSearch:
             yield from self.prove(premise, right.right, "l" + pos, freev, hist)
             return
         if isinstance(right, Iff):
-            expanded = And(Imp(right.left, right.right), Imp(right.right, right.left))
+            expanded = unfold_iff(right.left, right.right)
             yield from self.prove(left, expanded, "l" + pos, freev, hist)
             return
         if isinstance(right, Neg):

@@ -27,18 +27,28 @@ some matrix (an alpha relation, over which a quantifier distributes).
 A variable that also occurs in a sibling element of an enclosing
 clause is shared and must keep its identity, or instances from
 different parts of one clause could be mixed unsoundly.
+
+This is the one matrix layer of the package: every structural walk over
+a matrix, a prefix or a prefix symbol lives here, and the search
+(`connection`) and the unifier (`prefixes`) call it.  `iter_literals`
+and `iter_clauses` keep an explicit stack; `node_chain` runs from a
+node up to the root, and on it rest the containment test `contains`
+and `meet`, where two nodes diverge; `leaves` yields the term and prefix
+variables of terms and prefix symbols; `matrix_str` is the one printer,
+which `str` of every matrix node and prefix symbol calls.  A fresh
+build numbers its symbols per builder (`a1`, `V1`, `x1`, `#f1`, ...),
+so its printed form is canonical.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .terms import (
     Atom,
     And,
-    Bindings,
     Exists,
     Forall,
     Formula,
@@ -52,6 +62,7 @@ from .terms import (
     free_vars,
     fresh_var,
     substitute,
+    unfold_iff,
 )
 
 # ============================================================
@@ -66,19 +77,11 @@ class PVar:
     id: int
     name: str = field(default="V", compare=False)
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class PConst:
     name: str
     args: tuple = ()  # Term or PVar dependencies
-
-    def __str__(self):
-        if not self.args:
-            return self.name
-        return f"{self.name}({','.join(str(a) for a in self.args)})"
 
 
 PSym = Union[PVar, PConst]
@@ -101,11 +104,6 @@ class MatLit:
     prefix: tuple
     clause: "MatClause" = None
 
-    def __str__(self):
-        head = Atom(self.pred, self.args)
-        pre = " ".join(str(s) for s in self.prefix)
-        return f"{head}^{self.pol}:{pre}"
-
 
 @dataclass(eq=False)
 class MatClause:
@@ -116,39 +114,80 @@ class MatClause:
     rename_tvars: frozenset = frozenset()  # Var ids a copy renames
     rename_pvars: frozenset = frozenset()  # PVar ids a copy renames
 
-    def __str__(self):
-        return "{" + ", ".join(str(e) for e in self.elements) + "}"
-
 
 @dataclass(eq=False)
 class MatMatrix:
     clauses: list
     parent: Optional[MatClause] = None
 
-    def __str__(self):
-        return "{" + ", ".join(str(c) for c in self.clauses) + "}"
+
+# ============================================================
+# Walks
+# ============================================================
 
 
-def iter_literals(node):
-    if isinstance(node, MatLit):
-        yield node
-    elif isinstance(node, MatClause):
-        for e in node.elements:
-            yield from iter_literals(e)
-    else:
-        for c in node.clauses:
-            yield from iter_literals(c)
+def _children(node) -> list:
+    return node.elements if isinstance(node, MatClause) else node.clauses
 
 
-def iter_clauses(node):
-    if isinstance(node, MatClause):
-        yield node
-        for e in node.elements:
-            if isinstance(e, MatMatrix):
-                yield from iter_clauses(e)
-    elif isinstance(node, MatMatrix):
-        for c in node.clauses:
-            yield from iter_clauses(c)
+def iter_literals(node) -> Iterator[MatLit]:
+    """The literals below node, left to right."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, MatLit):
+            yield n
+        else:
+            stack.extend(reversed(_children(n)))
+
+
+def iter_clauses(node) -> Iterator[MatClause]:
+    """The clauses at or below node, each before the clauses nested in it."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, MatClause):
+            yield n
+        if not isinstance(n, MatLit):
+            stack.extend(reversed(_children(n)))
+
+
+def node_chain(node) -> list:
+    """The clauses and matrices from node up to the root; a literal's
+    chain starts at its clause."""
+    out = []
+    node = node.clause if isinstance(node, MatLit) else node
+    while node is not None:
+        out.append(node)
+        node = node.parent
+    return out
+
+
+def contains(node, lit: MatLit) -> bool:
+    """lit lies below the clause or matrix node."""
+    return any(n is node for n in node_chain(lit))
+
+
+def meet(node, other):
+    """The first node of node's chain that is also on other's chain.
+
+    other itself when node lies below it; otherwise where the two
+    diverge: a matrix for sibling clauses (alpha-related), a clause for
+    sibling elements of one clause (beta-related)."""
+    ids = {id(n) for n in node_chain(other)}
+    return next((n for n in node_chain(node) if id(n) in ids), None)
+
+
+def leaves(items: Sequence) -> Iterator[Union[Var, PVar]]:
+    """The Var and PVar leaves of a sequence of terms and prefix
+    symbols, left to right, looking through Fun and PConst arguments."""
+    stack = list(reversed(items))
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (Var, PVar)):
+            yield t
+        elif t.args:
+            stack.extend(reversed(t.args))
 
 
 # ============================================================
@@ -196,8 +235,7 @@ class MatrixBuilder:
             lit = MatLit(f.pred, f.args, pol, prefix + (sym,))
             return [self._clause([lit])]
         if isinstance(f, Iff):
-            expanded = And(Imp(f.left, f.right), Imp(f.right, f.left))
-            return self.build(expanded, pol, prefix)
+            return self.build(unfold_iff(f.left, f.right), pol, prefix)
         if isinstance(f, Neg):
             if pol == 0:
                 return self.build(f.body, 1, prefix + (self._aconst(self._deps(f, prefix)),))
@@ -279,43 +317,11 @@ def _occurrences(root: MatMatrix):
     """Clause set each term/prefix variable occurs under, per literal."""
     tocc: dict[int, list] = {}
     pocc: dict[int, list] = {}
-
-    def note(d, key, clause):
-        d.setdefault(key, []).append(clause)
-
-    def tv(t, lit):
-        if isinstance(t, Var):
-            note(tocc, t.id, lit.clause)
-        elif isinstance(t, PVar):
-            note(pocc, t.id, lit.clause)
-        else:
-            for a in t.args:
-                tv(a, lit)
-
-    def psym_vars(sym, lit):
-        if isinstance(sym, PVar):
-            note(pocc, sym.id, lit.clause)
-        else:
-            for a in sym.args:
-                tv(a, lit)
-
     for lit in iter_literals(root):
-        for a in lit.args:
-            tv(a, lit)
-        for sym in lit.prefix:
-            psym_vars(sym, lit)
+        for v in leaves(lit.args + lit.prefix):
+            occ = tocc if isinstance(v, Var) else pocc
+            occ.setdefault(v.id, []).append(lit.clause)
     return tocc, pocc
-
-
-def node_chain(node) -> list:
-    """The clauses and matrices from node up to the root; a literal's
-    chain starts at its clause."""
-    out = []
-    node = node.clause if isinstance(node, MatLit) else node
-    while node is not None:
-        out.append(node)
-        node = node.parent
-    return out
 
 
 def _compute_renameable(root: MatMatrix) -> None:
@@ -325,19 +331,16 @@ def _compute_renameable(root: MatMatrix) -> None:
     sibling element, whose instances must stay linked)."""
     tocc, pocc = _occurrences(root)
     for clause in iter_clauses(root):
-        chain_ids = {id(n) for n in node_chain(clause)}
         tset, pset = set(), set()
         for occ, out in ((tocc, tset), (pocc, pset)):
             for key, homes in occ.items():
                 relevant = False
                 shared = False
                 for home in homes:
-                    chain = node_chain(home)
-                    if any(n is clause for n in chain):
+                    common = meet(home, clause)
+                    if common is clause:
                         relevant = True
-                        continue
-                    common = next((n for n in chain if id(n) in chain_ids), None)
-                    if isinstance(common, MatClause):
+                    elif isinstance(common, MatClause):
                         shared = True
                 if relevant and not shared:
                     out.add(key)
@@ -432,100 +435,56 @@ def beta_clause(clause: MatClause, lit: MatLit) -> list:
     for e in clause.elements:
         if e is lit:
             continue
-        if isinstance(e, MatMatrix) and _contains(e, lit):
-            inner = next(c for c in e.clauses if _contains(c, lit))
+        if isinstance(e, MatMatrix) and contains(e, lit):
+            inner = next(c for c in e.clauses if contains(c, lit))
             out.extend(beta_clause(inner, lit))
         else:
             out.append(e)
     return out
 
 
-def _contains(node, lit) -> bool:
-    return any(l is lit for l in iter_literals(node))
-
-
 # ============================================================
-# Display and canonical form
+# Display
 # ============================================================
 
 
-def matrix_str(m: MatMatrix, bnd: Optional[Bindings] = None) -> str:
-    bnd = bnd or Bindings()
-
-    def pterm(t):
-        t = bnd.resolve_term(t)
-        if isinstance(t, Var):
-            return str(t)
-        if not t.args:
-            return t.sym
-        return f"{t.sym}({','.join(pterm(a) for a in t.args)})"
-
-    def psym(s):
-        if isinstance(s, PVar):
-            return s.name
-        if not s.args:
-            return s.name
-        parts = ",".join(
-            a.name if isinstance(a, PVar) else pterm(a) for a in s.args
-        )
-        return f"{s.name}({parts})"
-
-    def lit(l):
-        head = l.pred if not l.args else f"{l.pred}({','.join(pterm(a) for a in l.args)})"
-        return f"{head}^{l.pol}:" + "".join(psym(s) for s in l.prefix)
-
-    def go(node):
-        if isinstance(node, MatLit):
-            return lit(node)
-        if isinstance(node, MatClause):
-            return "{" + ",".join(go(e) for e in node.elements) + "}"
-        return "{" + ",".join(go(c) for c in node.clauses) + "}"
-
-    return go(m)
+def _joined(items) -> list:
+    out = []
+    for i, x in enumerate(items):
+        out += [",", x] if i else [x]
+    return out
 
 
-def canonical_form(m: MatMatrix):
-    """Structure with fresh symbols renumbered by first occurrence.
+def _pieces(x) -> list:
+    """x as strings and the nodes, symbols and terms printed inside it."""
+    if isinstance(x, (MatMatrix, MatClause)):
+        return ["{", *_joined(_children(x)), "}"]
+    if isinstance(x, MatLit):
+        head, args, tail = x.pred, x.args, [f"^{x.pol}:", *x.prefix]
+    elif isinstance(x, PConst):
+        head, args, tail = x.name, x.args, []
+    elif isinstance(x, Fun):
+        head, args, tail = x.sym, x.args, []
+    else:  # a prefix variable by its name, a term variable as `str` shows it
+        return [x.name if isinstance(x, PVar) else str(x)]
+    if args:
+        return [head, "(", *_joined(args), ")", *tail]
+    return [head, *tail]
 
-    Two matrices equal up to consistent renaming of prefix constants,
-    prefix variables, term variables and skolem functions canonicalize
-    identically.
-    """
-    amap: dict[str, int] = {}
-    vmap: dict[int, int] = {}
-    xmap: dict[int, int] = {}
-    fmap: dict[str, int] = {}
 
-    def num(d, key):
-        if key not in d:
-            d[key] = len(d) + 1
-        return d[key]
+def matrix_str(x) -> str:
+    """A matrix, clause, literal, prefix symbol or term on one line, as
+    in `{{p^1:a1V1},{p^0:a1a2}}`, `=(x1,x2)^0:a1` or `a2(x1,V1)`."""
+    out = []
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        else:
+            stack.extend(reversed(_pieces(x)))
+    return "".join(out)
 
-    def cterm(t):
-        if isinstance(t, Var):
-            return ("x", num(xmap, t.id))
-        if t.sym.startswith("#"):
-            return ("f", num(fmap, t.sym)) + tuple(cterm(a) for a in t.args)
-        return (t.sym,) + tuple(cterm(a) for a in t.args)
 
-    def csym(s):
-        if isinstance(s, PVar):
-            return ("V", num(vmap, s.id))
-        return ("a", num(amap, s.name)) + tuple(
-            csym(a) if isinstance(a, PVar) else cterm(a) for a in s.args
-        )
-
-    def go(node):
-        if isinstance(node, MatLit):
-            return (
-                "lit",
-                node.pred,
-                node.pol,
-                tuple(cterm(a) for a in node.args),
-                tuple(csym(s) for s in node.prefix),
-            )
-        if isinstance(node, MatClause):
-            return ("clause",) + tuple(go(e) for e in node.elements)
-        return ("matrix",) + tuple(go(c) for c in node.clauses)
-
-    return go(m)
+for _cls in (PVar, PConst, MatLit, MatClause, MatMatrix):
+    _cls.__str__ = matrix_str

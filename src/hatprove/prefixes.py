@@ -14,6 +14,10 @@ Every solution yielded has been verified by application: both strings
 of every constraint expand to the same symbol sequence.  Prefix
 variables bind on their own `terms.Bindings` trail, next to the one for
 term variables.
+
+This module only runs the unifier and applies its bindings (`expand`,
+`resolved_string`, `constraints_signature`); the variables of a prefix
+and of a constant's arguments are read with `matrix.leaves`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import time
 from typing import Iterator, Optional
 
-from .matrix import PConst, PSym, PVar
+from .matrix import PConst, PVar, leaves
 from .terms import Bindings, Var, unify_occurs
 from .verdicts import SearchTimeout
 
@@ -42,14 +46,14 @@ def expand(prefix, pb: Bindings) -> tuple:
 
 
 def _occurs(v: PVar, seg, pb: Bindings) -> bool:
-    for s in expand(seg, pb):
-        if isinstance(s, PVar):
-            if s.id == v.id:
+    """v occurs in seg under pb, looking through constant arguments."""
+    for x in leaves(seg):
+        if isinstance(x, PVar):
+            if x.id == v.id:
                 return True
-        else:
-            for a in s.args:
-                if isinstance(a, PVar) and _occurs(v, (a,), pb):
-                    return True
+            val = pb.lookup(x)
+            if val is not None and _occurs(v, val, pb):
+                return True
     return False
 
 
@@ -85,35 +89,19 @@ def _simplify(pairs: list, pb: Bindings, tb: Bindings):
         out = []
         for s, t in work:
             s, t = expand(s, pb), expand(t, pb)
-            # cancel equal ends
-            while s and t:
-                a, b = s[0], t[0]
-                if isinstance(a, PVar) and isinstance(b, PVar) and a.id == b.id:
-                    s, t = s[1:], t[1:]
-                    continue
-                if isinstance(a, PConst) and isinstance(b, PConst):
-                    extra: list = []
-                    if not _const_match(a, b, tb, extra):
-                        return None
-                    s, t = s[1:], t[1:]
-                    out.extend(extra)
-                    changed = changed or bool(extra)
-                    continue
-                break
-            while s and t:
-                a, b = s[-1], t[-1]
-                if isinstance(a, PVar) and isinstance(b, PVar) and a.id == b.id:
-                    s, t = s[:-1], t[:-1]
-                    continue
-                if isinstance(a, PConst) and isinstance(b, PConst):
-                    extra = []
-                    if not _const_match(a, b, tb, extra):
-                        return None
-                    s, t = s[:-1], t[:-1]
-                    out.extend(extra)
-                    changed = changed or bool(extra)
-                    continue
-                break
+            # cancel equal ends, the front first
+            for end, drop in ((0, slice(1, None)), (-1, slice(None, -1))):
+                while s and t:
+                    a, b = s[end], t[end]
+                    if isinstance(a, PConst) and isinstance(b, PConst):
+                        extra: list = []
+                        if not _const_match(a, b, tb, extra):
+                            return None
+                        out.extend(extra)
+                        changed = changed or bool(extra)
+                    elif not (isinstance(a, PVar) and isinstance(b, PVar) and a.id == b.id):
+                        break
+                    s, t = s[drop], t[drop]
             if not s and not t:
                 continue
             if not s or not t:
@@ -163,28 +151,20 @@ def _solve(
             yield
             return
         (s, t), rest = _choice_pair(work)
-        a, b = s[0], t[0]
-        # after simplification at least one head is an unbound variable
-        if isinstance(a, PVar):
-            for k in range(len(t) + 1):
-                seg = t[:k]
-                if _occurs(a, seg, pb):
+        # after simplification at least one head is an unbound variable;
+        # it takes each prefix of the other string in turn
+        for u, v, flip in ((s, t, False), (t, s, True)):
+            if not isinstance(u[0], PVar):
+                continue
+            for k in range(len(v) + 1):
+                seg = v[:k]
+                if _occurs(u[0], seg, pb):
                     break
                 mark = pb.mark()
-                pb.bind(a, seg)
+                pb.bind(u[0], seg)
+                pair = (v[k:], u[1:]) if flip else (u[1:], v[k:])
                 try:
-                    yield from _solve([(s[1:], t[k:])] + rest, pb, tb, budget, deadline)
-                finally:
-                    pb.undo_to(mark)
-        if isinstance(b, PVar):
-            for k in range(len(s) + 1):
-                seg = s[:k]
-                if _occurs(b, seg, pb):
-                    break
-                mark = pb.mark()
-                pb.bind(b, seg)
-                try:
-                    yield from _solve([(s[k:], t[1:])] + rest, pb, tb, budget, deadline)
+                    yield from _solve([pair] + rest, pb, tb, budget, deadline)
                 finally:
                     pb.undo_to(mark)
     finally:
@@ -221,23 +201,15 @@ def solution_signature(constraints, pb: Bindings, tb: Optional[Bindings] = None)
     tb = tb if tb is not None else Bindings()
     vids = {}
     for p1, p2 in constraints:
-        for sym in tuple(p1) + tuple(p2):
-            _collect_pvars(sym, vids)
+        for v in leaves(tuple(p1) + tuple(p2)):
+            if isinstance(v, PVar):
+                vids.setdefault(v.id, v)
     items = []
     for vid, v in sorted(vids.items()):
         val = pb.lookup(v)
         if val is not None:
             items.append((vid, resolved_string(val, pb, tb)))
     return frozenset(items)
-
-
-def _collect_pvars(sym: PSym, out: dict) -> None:
-    if isinstance(sym, PVar):
-        out.setdefault(sym.id, sym)
-    else:
-        for a in sym.args:
-            if isinstance(a, PVar):
-                out.setdefault(a.id, a)
 
 
 def constraints_signature(constraints, pb: Bindings, tb: Bindings):

@@ -197,6 +197,11 @@ BINARY = (And, Or, Imp, Iff)
 QUANT = (Forall, Exists)
 
 
+def unfold_iff(a: Formula, b: Formula) -> Formula:
+    """`a <=> b` as `(a => b) , (b => a)`, the one expansion every engine uses."""
+    return And(Imp(a, b), Imp(b, a))
+
+
 def is_literal(f: Formula) -> bool:
     """Atom or negated atom."""
     return isinstance(f, Atom) or (isinstance(f, Neg) and isinstance(f.body, Atom))

@@ -157,3 +157,49 @@ def test_embedding_soundness_sample():
         result = prove_conn(embed(f), timeout=0.5)
         if result.verdict is Verdict.PROVED:
             assert ht_valid_prop(f), f
+
+
+def test_conn_search_counts_are_unchanged(monkeypatch):
+    # (goal, verdict, rounds, steps, clause copies, constraint sets
+    # checked by search, connections of the proof), summed over rounds;
+    # no goal comes near its deadline, so the counts do not depend on
+    # the machine
+    import hatprove.connection as connection
+
+    f2 = parse_native_formula("ex Y: all X: (p(Y) => p(X))", close=True)
+    cases = [
+        (embed(F1), Verdict.PROVED, 1, 2293, 1555, 418, 4),
+        (embed(f2), Verdict.PROVED, 1, 9, 12, 12, 2),
+        (embed(parse_native_formula("~ p ; ~ ~ p")), Verdict.PROVED, 5, 86, 56, 59, 4),
+        (F3, Verdict.PROVED, 1, 1, 2, 1, 1),
+        (parse_native_formula("(all X: (p(X) => q)) => ((ex X: p(X)) => q)", close=True),
+         Verdict.PROVED, 1, 2, 3, 2, 2),
+        (parse_native_formula("(all X: p(X)) => (p(a) , p(b))", close=True),
+         Verdict.PROVED, 2, 4, 5, 3, 2),
+        (parse_native_formula("((p => q) => p) => p"), Verdict.REFUTED, 4, 16, 10, 12, 0),
+    ]
+    searches, copies = [], []
+    copy_clause = connection.copy_clause
+
+    class Counted(ConnSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    monkeypatch.setattr(connection, "ConnSearch", Counted)
+    monkeypatch.setattr(
+        connection, "copy_clause", lambda *args: copies.append(1) or copy_clause(*args)
+    )
+    for f, verdict, rounds, steps, n_copies, cached, n_conns in cases:
+        searches.clear()
+        copies.clear()
+        r = prove_conn(f, timeout=60)
+        got = (
+            r.verdict,
+            r.rounds,
+            sum(s.steps for s in searches),
+            len(copies),
+            sum(len(s.sat_cache) for s in searches),
+            len(r.proof.connections) if r.proved else 0,
+        )
+        assert got == (verdict, rounds, steps, n_copies, cached, n_conns), str(f)

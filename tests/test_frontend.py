@@ -90,6 +90,17 @@ def test_syntax_error_reports_position():
         parse_problem("fof(c,conjecture,\n p & ).")
 
 
+def test_defined_words_rejected_in_both_grammars():
+    # no engine has a truth constant: read as atoms, $true and $false
+    # turned Theorems into Non-Theorems
+    with pytest.raises(ParseError, match=r"'\$true'"):
+        parse_problem("fof(c, conjecture, $true).")
+    with pytest.raises(ParseError, match=r"'\$false'"):
+        parse_problem("fof(a, axiom, $false). fof(c, conjecture, p).")
+    with pytest.raises(ParseError, match=r"'\$true'"):
+        parse_native_formula("p => $true")
+
+
 def test_comments_ignored():
     prob = parse_problem("% a comment\nfof(c,conjecture, /* inline */ p).")
     assert prob.conjecture == p

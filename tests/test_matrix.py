@@ -4,9 +4,12 @@ import random
 from hatprove import matrix, terms
 from hatprove.frontend import parse_native_formula
 from hatprove.matrix import (
+    MatClause,
     MatLit,
+    MatMatrix,
+    PConst,
+    PVar,
     build_matrix,
-    canonical_form,
     copy_clause,
     iter_clauses,
     iter_literals,
@@ -33,45 +36,67 @@ def lit_count(f):
     return lit_count(f.body)
 
 
-def golden(*clauses):
-    """Expected canonical structure from a compact description."""
-    out = ["matrix"]
-    for clause in clauses:
-        c = ["clause"]
-        for pred, pol, prefix in clause:
-            syms = tuple(
-                ("a", int(s[1:])) if s.startswith("a") else ("V", int(s[1:]))
-                for s in prefix.split()
-            )
-            c.append(("lit", pred, pol, (), syms))
-        out.append(tuple(c))
-    return tuple(out)
-
-
 def test_matrix_identity_implication():
     m = build_matrix(Imp(p, p))
     assert matrix_str(m) == "{{p^1:a1V1},{p^0:a1a2}}"
-    assert canonical_form(m) == golden(
-        [("p", 1, "a1 V1")], [("p", 0, "a1 a2")]
-    )
+    # str of every node and prefix symbol is the same printer
+    assert str(m) == matrix_str(m)
+    assert [str(c) for c in m.clauses] == ["{p^1:a1V1}", "{p^0:a1a2}"]
+    assert [str(s) for s in m.clauses[0].elements[0].prefix] == ["a1", "V1"]
 
 
 def test_matrix_excluded_middle():
     m = build_matrix(Or(p, Neg(p)))
     assert matrix_str(m) == "{{p^0:a1},{p^1:a2V1}}"
-    assert canonical_form(m) == golden([("p", 0, "a1")], [("p", 1, "a2 V1")])
 
 
 def test_matrix_atom():
-    m = build_matrix(p)
-    assert canonical_form(m) == golden([("p", 0, "a1")])
+    assert matrix_str(build_matrix(p)) == "{{p^0:a1}}"
 
 
 def test_matrix_golden_up_to_renaming():
-    # two builds of the same formula canonicalize identically even
-    # though every fresh symbol differs
+    # two builds of the same formula print identically even though
+    # every fresh symbol differs: each builder numbers its own symbols
     f = parse_native_formula("( (p=>q) ; (q=>p) )")
-    assert canonical_form(build_matrix(f)) == canonical_form(build_matrix(f))
+    m1, m2 = build_matrix(f), build_matrix(f)
+    l1, l2 = next(iter_literals(m1)), next(iter_literals(m2))
+    assert l1.prefix[-1] != l2.prefix[-1]
+    assert matrix_str(m1) == matrix_str(m2) == "{{p^1:a1V1},{q^0:a1a2},{q^1:a3V2},{p^0:a3a4}}"
+
+
+def test_printer_shows_prefix_variables_inside_terms():
+    # the skolem term of a positive universal under a negative one
+    # depends on a prefix variable; equality prints as a prefix symbol
+    f = parse_native_formula(
+        "(all X: ex Y: p(X,Y)) => (ex Y: all X: p(X,Y))", close=True
+    )
+    assert matrix_str(build_matrix(f)) == (
+        "{{p(x1,#f1(x1,V1))^1:a1V1V2},{p(#f2(x2),x2)^0:a1a2(x2)a3(x2)}}"
+    )
+    eq = parse_native_formula("all X: X = X", close=True)
+    assert matrix_str(build_matrix(eq)) == "{{=(#f1,#f1)^0:a1a2}}"
+    assert str(PConst("a4", (PVar(1, "V3"), PConst("a5")))) == "a4(V3,a5)"
+
+
+def test_walkers_do_not_recurse():
+    # a matrix nested 10,000 deep: each clause holds a literal and the
+    # next matrix, whose one clause holds the next literal, and so on
+    depth = 10_000
+    root = inner = MatMatrix([])
+    lits = []
+    for i in range(depth):
+        lit = MatLit("p", (), i % 2, ())
+        clause = MatClause(i + 1, 0, [lit])
+        lit.clause = clause
+        clause.parent = inner
+        inner.clauses.append(clause)
+        lits.append(lit)
+        if i + 1 < depth:
+            inner = MatMatrix([], clause)
+            clause.elements.append(inner)
+    assert list(iter_literals(root)) == lits
+    assert [c.label for c in iter_clauses(root)] == list(range(1, depth + 1))
+    assert matrix_str(root).count("{") == 2 * depth
 
 
 def test_literal_count_preserved():

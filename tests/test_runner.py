@@ -65,6 +65,14 @@ def test_parse_error_is_error_status(tmp_path):
     assert result.message
 
 
+def test_defined_word_is_an_error_on_every_backend(tmp_path):
+    path = write(tmp_path, "true.p", "fof(c, conjecture, $true).")
+    for backend in ("lht", "lj", "lj-ht", "conn", "conn-ht"):
+        result = run_problem(path, RunConfig(backend=backend, timeout=5))
+        assert result.status == "Error", backend
+        assert "$true" in result.message, backend
+
+
 def test_embedding_backend_never_refutes(tmp_path):
     path = write(tmp_path, "lem.p", "fof(c, conjecture, p | ~p).")
     for backend in ("lj-ht", "conn-ht"):
@@ -250,6 +258,18 @@ def test_cli_emit_matrix(tmp_path, capsys):
     path = write(tmp_path, "f3.p", "fof(c, conjecture, p => p).")
     main([str(path), "--emit-matrix"])
     assert capsys.readouterr().out.strip() == "{{p^1:a1V1},{p^0:a1a2}}"
+
+
+def test_cli_emit_matrix_prints_every_mini_problem(capsys):
+    problems = sorted(MINI.glob("*.p"))
+    assert len(problems) == 30
+    for path in problems:
+        assert main([str(path), "--emit-matrix"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("{{") and out.endswith("}}\n"), (path.stem, out)
+        if path.stem == "quantifier_shift":
+            # a prefix variable inside a skolem term prints by its name
+            assert out == "{{p(x1,#f1(x1,V1))^1:a1V1V2},{p(#f2(x2),x2)^0:a1a2(x2)a3(x2)}}\n"
 
 
 def test_one_goal_pipeline_for_runner_and_cli(tmp_path, monkeypatch, capsys):
