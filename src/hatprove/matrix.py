@@ -138,7 +138,7 @@ def iter_literals(node) -> Iterator[MatLit]:
         if isinstance(n, MatLit):
             yield n
         else:
-            stack.extend(reversed(_children(n)))
+            stack += reversed(_children(n))
 
 
 def iter_clauses(node) -> Iterator[MatClause]:
@@ -148,8 +148,9 @@ def iter_clauses(node) -> Iterator[MatClause]:
         n = stack.pop()
         if isinstance(n, MatClause):
             yield n
-        if not isinstance(n, MatLit):
-            stack.extend(reversed(_children(n)))
+            stack += [e for e in reversed(n.elements) if isinstance(e, MatMatrix)]
+        elif isinstance(n, MatMatrix):
+            stack += reversed(n.clauses)
 
 
 def node_chain(node) -> list:
@@ -178,13 +179,16 @@ def meet(node, other):
     return next((n for n in node_chain(node) if id(n) in ids), None)
 
 
+_LEAF = (Var, PVar)
+
+
 def leaves(items: Sequence) -> Iterator[Union[Var, PVar]]:
     """The Var and PVar leaves of a sequence of terms and prefix
     symbols, left to right, looking through Fun and PConst arguments."""
     stack = list(reversed(items))
     while stack:
         t = stack.pop()
-        if isinstance(t, (Var, PVar)):
+        if isinstance(t, _LEAF):
             yield t
         elif t.args:
             stack.extend(reversed(t.args))

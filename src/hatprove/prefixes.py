@@ -78,6 +78,10 @@ def _const_match(a: PConst, b: PConst, tb: Bindings, extra: list) -> bool:
     return True
 
 
+# the index of each end of a string, and the slice that drops it
+_ENDS = ((0, slice(1, None)), (-1, slice(None, -1)))
+
+
 def _simplify(pairs: list, pb: Bindings, tb: Bindings):
     """Deterministic propagation: cancel matching ends, force bindings
     whose value is the only possibility.  Returns the residual pairs or
@@ -90,7 +94,7 @@ def _simplify(pairs: list, pb: Bindings, tb: Bindings):
         for s, t in work:
             s, t = expand(s, pb), expand(t, pb)
             # cancel equal ends, the front first
-            for end, drop in ((0, slice(1, None)), (-1, slice(None, -1))):
+            for end, drop in _ENDS:
                 while s and t:
                     a, b = s[end], t[end]
                     if isinstance(a, PConst) and isinstance(b, PConst):
