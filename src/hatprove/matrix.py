@@ -57,7 +57,6 @@ from .terms import (
     Imp,
     Neg,
     Or,
-    Term,
     Var,
     free_vars,
     fresh_var,
@@ -82,9 +81,6 @@ class PVar:
 class PConst:
     name: str
     args: tuple = ()  # Term or PVar dependencies
-
-
-PSym = Union[PVar, PConst]
 
 
 def fresh_pvar(name: str) -> PVar:
@@ -366,7 +362,8 @@ def copy_clause(clause: MatClause, copy_counter) -> tuple:
     pmap: dict[int, PVar] = {}
     litmap: dict[int, MatLit] = {}
 
-    def cp_term(t: Term) -> Term:
+    def cp_sym(t):
+        """A term or prefix symbol with its renameable variables renamed."""
         if isinstance(t, Var):
             if t.id in clause.rename_tvars:
                 if t.id not in tmap:
@@ -374,27 +371,23 @@ def copy_clause(clause: MatClause, copy_counter) -> tuple:
                 return tmap[t.id]
             return t
         if isinstance(t, PVar):
-            return cp_psym(t)
+            if t.id in clause.rename_pvars:
+                if t.id not in pmap:
+                    pmap[t.id] = fresh_pvar(t.name + "'")
+                return pmap[t.id]
+            return t
         if not t.args:
             return t
-        return Fun(t.sym, tuple(cp_term(a) for a in t.args))
-
-    def cp_psym(s: PSym) -> PSym:
-        if isinstance(s, PVar):
-            if s.id in clause.rename_pvars:
-                if s.id not in pmap:
-                    pmap[s.id] = fresh_pvar(s.name + "'")
-                return pmap[s.id]
-            return s
-        return PConst(s.name, tuple(cp_term(a) for a in s.args))
+        args = tuple(cp_sym(a) for a in t.args)
+        return Fun(t.sym, args) if isinstance(t, Fun) else PConst(t.name, args)
 
     def cp(node, parent):
         if isinstance(node, MatLit):
             lit = MatLit(
                 node.pred,
-                tuple(cp_term(a) for a in node.args),
+                tuple(cp_sym(a) for a in node.args),
                 node.pol,
-                tuple(cp_psym(s) for s in node.prefix),
+                tuple(cp_sym(s) for s in node.prefix),
                 parent,
             )
             litmap[id(node)] = lit
