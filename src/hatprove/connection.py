@@ -16,13 +16,17 @@ structural proofs.
 
 An extension clause must contain a literal of the active path, or be
 alpha-related to all path literals with its parent clause (if any)
-containing one.  Copies are bounded per original clause by a
-multiplicity limit under iterative deepening.  Optional pruning:
-regularity (no literal may repeat on a path) and restricted
-backtracking (the first connection that closes a literal is committed),
-the latter incomplete and therefore only one pass of the strategy
-schedule; exhausting the complete pass without ever hitting the copy
-limit refutes.  The deepening loop is `verdicts.deepen`, shared with the
+containing one; the smallest extension clauses are tried first.  One
+limit, raised by iterative deepening, bounds both the copies of each
+original clause and the length of the active path: a literal on a path
+that long may still close by reduction, but not by extension.  Short
+proofs are therefore found in the first rounds, whatever order the
+clauses are in (as in leanCoP).  Optional pruning: regularity (no
+literal may repeat on a path) and restricted backtracking (the first
+connection that closes a literal is committed), the latter incomplete
+and therefore only one pass of the strategy schedule; exhausting the
+complete pass without the limit ever cutting a copy or an extension
+refutes.  The deepening loop is `verdicts.deepen`, shared with the
 sequent provers, and the matrix is built once per call.
 
 This module runs the search only.  Every question about the matrix's
@@ -84,6 +88,10 @@ class ConnProof:
 
 
 class ConnSearch:
+    """One round of connection search.  `copy_limit` bounds both the
+    copies of each original clause and the length of the active path;
+    `blocked` records whether either bound cut off a step."""
+
     def __init__(
         self,
         matrix: MatMatrix,
@@ -106,6 +114,10 @@ class ConnSearch:
         self.copy_counter = itertools.count(1)
         self.blocked = False
         self.steps = 0
+        # literal count of each clause, keyed by the label copies keep
+        self.size = {
+            c.label: sum(1 for _ in iter_literals(c)) for c in iter_clauses(matrix)
+        }
 
     # -- relations ---------------------------------------------------------
 
@@ -280,9 +292,12 @@ class ConnSearch:
                     if solved and self.restricted_bt:
                         return
 
-        # extension into a copied clause
+        # extension into a copied clause, up to the path bound
+        if len(path) >= self.copy_limit:
+            self.blocked = True
+            return
         new_path = path + (lit,)
-        for c1 in list(iter_clauses(self.m)):
+        for c1 in sorted(iter_clauses(self.m), key=lambda c: self.size[c.label]):
             partners = [
                 l
                 for l in iter_literals(c1)
@@ -338,13 +353,15 @@ def prove_conn(
     regularity: bool = True,
     restricted_bt: Optional[bool] = None,
 ) -> ProverResult:
-    """Connection proof search with multiplicity deepening.
+    """Connection proof search with iterative deepening.
 
+    Round n allows n copies of each clause and active paths of length n.
     Default schedule runs restricted backtracking first (fast, not
     complete) for at most three rounds and a quarter of the time, then
     the complete configuration.  Refuted is only reported when a
     complete round exhausted its search space without ever hitting the
-    copy limit; the same under restricted backtracking is inconclusive.
+    copy or path bound; the same under restricted backtracking is
+    inconclusive.
     Passing restricted_bt pins a single configuration instead of the
     schedule, and a pinned restricted pass that exhausts gives up.
     The matrix is built once: every round restores the clause slots it

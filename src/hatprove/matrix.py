@@ -98,7 +98,7 @@ class MatLit:
     args: tuple
     pol: int
     prefix: tuple
-    clause: "MatClause" = None
+    clause: "MatClause" = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -106,7 +106,7 @@ class MatClause:
     label: int
     copy_ix: int
     elements: list
-    parent: "MatMatrix" = None
+    parent: "MatMatrix" = field(default=None, repr=False)
     rename_tvars: frozenset = frozenset()  # Var ids a copy renames
     rename_pvars: frozenset = frozenset()  # PVar ids a copy renames
 
@@ -114,7 +114,7 @@ class MatClause:
 @dataclass(eq=False)
 class MatMatrix:
     clauses: list
-    parent: Optional[MatClause] = None
+    parent: Optional[MatClause] = field(default=None, repr=False)
 
 
 # ============================================================

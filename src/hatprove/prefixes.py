@@ -86,7 +86,7 @@ def _simplify(pairs: list, pb: Bindings, tb: Bindings):
     """Deterministic propagation: cancel matching ends, force bindings
     whose value is the only possibility.  Returns the residual pairs or
     None on clash.  Bindings stay on the trails; the caller undoes."""
-    work = [(expand(s, pb), expand(t, pb)) for s, t in pairs]
+    work = pairs
     changed = True
     while changed:
         changed = False

@@ -106,6 +106,25 @@ def test_refutation_exhausts_without_copy_block():
     assert not search.blocked
 
 
+def test_path_length_is_bounded_by_the_round_limit():
+    # the one proof of modus ponens needs one copy of each clause but a
+    # path of two literals: q^0 extends into p => q, whose p^0 then
+    # extends into the clause p^1
+    f = parse_native_formula("p => ((p => q) => q)")
+    search = ConnSearch(build_matrix(f), copy_limit=1)
+    assert next(search.run(), None) is None
+    assert search.blocked
+    result = prove_conn(f, timeout=5)
+    assert result.verdict is Verdict.PROVED and result.rounds == 2
+
+
+def test_short_embedded_proofs_found_first():
+    # a short proof beside the embedding's four-literal axiom clauses
+    for text in ["p => (p ; q)", "p ; (q => q)", "(p ; q) ; (p => p)"]:
+        result = prove_conn(embed(parse_native_formula(text)), timeout=2)
+        assert result.verdict is Verdict.PROVED, text
+
+
 def test_connection_prove_on_matrix():
     assert prove_conn(F3, timeout=5, restricted_bt=False).verdict is Verdict.PROVED
     assert prove_conn(F4, timeout=5, restricted_bt=False).verdict is Verdict.REFUTED
@@ -168,12 +187,13 @@ def test_conn_search_counts_are_unchanged(monkeypatch):
 
     f2 = parse_native_formula("ex Y: all X: (p(Y) => p(X))", close=True)
     cases = [
-        (embed(F1), Verdict.PROVED, 1, 2293, 1555, 418, 4),
-        (embed(f2), Verdict.PROVED, 1, 9, 12, 12, 2),
-        (embed(parse_native_formula("~ p ; ~ ~ p")), Verdict.PROVED, 5, 86, 56, 59, 4),
+        (embed(F1), Verdict.PROVED, 2, 14, 20, 15, 4),
+        (embed(f2), Verdict.PROVED, 2, 5, 9, 7, 2),
+        (embed(parse_native_formula("~ p ; ~ ~ p")), Verdict.PROVED, 2, 7, 8, 8, 4),
+        (embed(parse_native_formula("p => (p ; q)")), Verdict.PROVED, 1, 1, 2, 1, 1),
         (F3, Verdict.PROVED, 1, 1, 2, 1, 1),
         (parse_native_formula("(all X: (p(X) => q)) => ((ex X: p(X)) => q)", close=True),
-         Verdict.PROVED, 1, 2, 3, 2, 2),
+         Verdict.PROVED, 2, 4, 5, 3, 2),
         (parse_native_formula("(all X: p(X)) => (p(a) , p(b))", close=True),
          Verdict.PROVED, 2, 4, 5, 3, 2),
         (parse_native_formula("((p => q) => p) => p"), Verdict.REFUTED, 4, 16, 10, 12, 0),

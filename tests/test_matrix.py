@@ -99,6 +99,26 @@ def test_walkers_do_not_recurse():
     assert matrix_str(root).count("{") == 2 * depth
 
 
+def test_repr_shows_only_the_node_subtree():
+    # the back links to the clause and parent are left out of repr, so
+    # a literal prints without its sibling clauses
+    m = build_matrix(parse_native_formula("(p , q) => (q , p)"))
+    lit = next(iter_literals(m))
+    assert repr(lit) == f"MatLit(pred='p', args=(), pol=1, prefix={lit.prefix!r})"
+    # and the innermost node of a matrix nested 10,000 deep prints
+    # without walking up the chain
+    inner = MatMatrix([])
+    for i in range(10_000):
+        lit = MatLit("p", (), i % 2, ())
+        clause = MatClause(i + 1, 0, [lit], inner)
+        lit.clause = clause
+        inner.clauses.append(clause)
+        inner = MatMatrix([], clause)
+        clause.elements.append(inner)
+    assert repr(inner) == "MatMatrix(clauses=[])"
+    assert repr(lit) == "MatLit(pred='p', args=(), pol=1, prefix=())"
+
+
 def test_literal_count_preserved():
     rng = random.Random(3)
     for _ in range(120):
