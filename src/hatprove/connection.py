@@ -99,6 +99,7 @@ class ConnSearch:
         deadline: Optional[float] = None,
         regularity: bool = True,
         restricted_bt: bool = False,
+        sat_cache: Optional[dict] = None,
     ):
         self.m = matrix
         self.copy_limit = copy_limit
@@ -110,7 +111,7 @@ class ConnSearch:
         self.constraints: list = []
         self.connections: list = []
         self.copies: Counter = Counter()
-        self.sat_cache: dict = {}
+        self.sat_cache = {} if sat_cache is None else sat_cache
         self.copy_counter = itertools.count(1)
         self.blocked = False
         self.steps = 0
@@ -365,12 +366,13 @@ def prove_conn(
     Passing restricted_bt pins a single configuration instead of the
     schedule, and a pinned restricted pass that exhausts gives up.
     The matrix is built once: every round restores the clause slots it
-    fills with copies.
+    fills with copies.  One `sat_cache` serves every round and pass.
     """
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
     passes = [True, False] if restricted_bt is None else [restricted_bt]
     matrix = build_matrix(f)
+    sat_cache: dict = {}  # a signature's satisfiability holds in every round and pass
     rounds = 0
     for rb in passes:
         pass_deadline = deadline
@@ -378,7 +380,7 @@ def prove_conn(
             pass_deadline = start + 0.25 * timeout
 
         def run_round(limit):
-            search = ConnSearch(matrix, limit, pass_deadline, regularity, rb)
+            search = ConnSearch(matrix, limit, pass_deadline, regularity, rb, sat_cache)
             return search, next(search.run(), None)
 
         result = deepen(

@@ -9,13 +9,28 @@ quantifier rules.  Universal-left retains its principal formula, and
 existential-right consumes it, as single-succedent completeness
 requires.
 
-Contraction is absorbed: the left side is kept as a set, so inserting
-a formula that is already present (under the current bindings) changes
-nothing, and a sequent identical to a branch ancestor is cut off.
+Contraction is absorbed: the left side is kept as a set, so a formula
+already present (under the current bindings) is not added twice, and a
+sequent identical to a branch ancestor is cut off.
 Together with the per-branch free-variable cap this makes every round
 terminate.  A failed round in which the cap never cut off a
 free-variable rule is the search every higher cap would do, so it is
 reported as Refuted; the propositional fragment is thereby decided.
+
+Each proof found yields the set of left-formula occurrences it used,
+compared by identity (`id`): the formula an axiom closes with, and the
+principal of every left rule.  Inserting a formula equal to one already
+present replaces the old occurrence, so a use is charged to the
+occurrence the current rule produced.  This gives left disjunction a use
+check, as in dependency-directed backtracking for tableaux (Horrocks and
+Patel-Schneider, 1999): a proof of the left premise that never used the
+left disjunct proves the sequent without the disjunction, so it is the
+node's proof by weakening and the right premise is skipped; a
+disjunction whose left disjunct is already present is dropped the same
+way.  Skipping loses no proof, because every proof built with the right
+premise only adds bindings to one already yielded.  The embedding's
+axioms `G ; (G => H) ; ~H` are such disjunctions, and a proof that uses
+none of them is no longer repeated in each of their branches.
 
 Quantifiers use the same free-variable and dynamic-skolemization
 discipline as the native prover, with iterative deepening on the
@@ -56,8 +71,11 @@ class LJSearch:
         self.nodes = 0
 
     def _insert(self, items: list, f: Formula) -> list:
-        if any(struct_equal(f, g, self.bnd) for g in items):
-            return items
+        """Put f first; an equal formula already present is dropped, so a
+        later use is charged to the occurrence the current rule made."""
+        for i, g in enumerate(items):
+            if struct_equal(f, g, self.bnd):
+                return [f] + items[:i] + items[i + 1 :]
         return [f] + items
 
     def _extend(self, items: list, adds) -> list:
@@ -70,6 +88,7 @@ class LJSearch:
         return (frozenset(rf(f) for f in left), rf(right) if right is not None else None)
 
     def prove(self, left: list, right: Optional[Formula], pos: str, freev: list, hist):
+        """Yield, per proof found, the ids of the left occurrences it used."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout
         self.nodes += 1
@@ -82,7 +101,7 @@ class LJSearch:
         if right is not None:
             for a in left:
                 if struct_equal(a, right, self.bnd):
-                    yield True
+                    yield frozenset((id(a),))
                     return
             if isinstance(right, Atom):
                 for a in left:
@@ -90,7 +109,7 @@ class LJSearch:
                         mark = self.bnd.mark()
                         if unify_literals(a, right, self.bnd):
                             try:
-                                yield True
+                                yield frozenset((id(a),))
                             finally:
                                 self.bnd.undo_to(mark)
 
@@ -99,21 +118,28 @@ class LJSearch:
             rest = left[:idx] + left[idx + 1 :]
             if isinstance(f, And):
                 premise = self._extend(rest, [f.right, f.left])
-                yield from self.prove(premise, right, "l" + pos, freev, hist)
+                for used in self.prove(premise, right, "l" + pos, freev, hist):
+                    yield used | {id(f)}
                 return
             if isinstance(f, Iff):
                 expanded = unfold_iff(f.left, f.right)
-                yield from self.prove(
-                    self._insert(rest, expanded), right, "l" + pos, freev, hist
-                )
+                premise = self._insert(rest, expanded)
+                for used in self.prove(premise, right, "l" + pos, freev, hist):
+                    yield used | {id(f)}
                 return
             if isinstance(f, Or):
-                for _ in self.prove(
-                    self._insert(rest, f.left), right, "l" + pos, freev, hist
-                ):
-                    yield from self.prove(
+                if any(struct_equal(f.left, g, self.bnd) for g in rest):
+                    # the left premise is the sequent without f: weakening
+                    yield from self.prove(rest, right, "l" + pos, freev, hist)
+                    return
+                for used in self.prove([f.left] + rest, right, "l" + pos, freev, hist):
+                    if id(f.left) not in used:
+                        yield used  # proves rest, so the node by weakening
+                        continue
+                    for used_r in self.prove(
                         self._insert(rest, f.right), right, "r" + pos, freev, hist
-                    )
+                    ):
+                        yield used | used_r | {id(f)}
                 return
             if isinstance(f, Exists):
                 sk = skolem_term(pos, freev)
@@ -121,9 +147,9 @@ class LJSearch:
                 mark = self.bnd.mark()
                 self.bnd.bind(y, sk)
                 try:
-                    yield from self.prove(
-                        self._insert(rest, inst), right, "l" + pos, freev, hist
-                    )
+                    premise = self._insert(rest, inst)
+                    for used in self.prove(premise, right, "l" + pos, freev, hist):
+                        yield used | {id(f)}
                 finally:
                     self.bnd.undo_to(mark)
                 return
@@ -140,8 +166,9 @@ class LJSearch:
             yield from self.prove(premise, None, "l" + pos, freev, hist)
             return
         if isinstance(right, And):
-            for _ in self.prove(left, right.left, "l" + pos, freev, hist):
-                yield from self.prove(left, right.right, "r" + pos, freev, hist)
+            for used in self.prove(left, right.left, "l" + pos, freev, hist):
+                for used_r in self.prove(left, right.right, "r" + pos, freev, hist):
+                    yield used | used_r
             return
         if isinstance(right, Forall):
             sk = skolem_term(pos, freev)
@@ -162,12 +189,14 @@ class LJSearch:
         for idx, f in enumerate(left):
             if isinstance(f, Imp):
                 rest = left[:idx] + left[idx + 1 :]
-                for _ in self.prove(left, f.left, "l" + pos, freev, hist):
-                    yield from self.prove(
+                for used in self.prove(left, f.left, "l" + pos, freev, hist):
+                    for used_r in self.prove(
                         self._insert(rest, f.right), right, "r" + pos, freev, hist
-                    )
+                    ):
+                        yield used | used_r | {id(f)}
             elif isinstance(f, Neg):
-                yield from self.prove(left, f.body, "l" + pos, freev, hist)
+                for used in self.prove(left, f.body, "l" + pos, freev, hist):
+                    yield used | {id(f)}
 
         if isinstance(right, Exists):
             if len(freev) < self.var_limit:
@@ -180,9 +209,9 @@ class LJSearch:
             if isinstance(f, Forall):
                 if len(freev) < self.var_limit:
                     y, inst = fresh_copy((f.var, f.body), freev, self.bnd)
-                    yield from self.prove(
-                        self._insert(left, inst), right, "l" + pos, freev + [y], hist
-                    )
+                    premise = self._insert(left, inst)
+                    for used in self.prove(premise, right, "l" + pos, freev + [y], hist):
+                        yield used | {id(f)}
                 else:
                     self.blocked = True
 

@@ -151,6 +151,26 @@ def test_matrix_built_once_per_call(monkeypatch):
         assert built == [f]
 
 
+def test_sat_cache_is_shared_by_every_round(monkeypatch):
+    # a Horn chain of 22 links needs 26 rounds; each prefix component is
+    # solved once in the call, not once in every round that meets it
+    import hatprove.connection as connection
+    from hatprove.prefixes import constraints_signature
+
+    solved = []
+    solve = connection._solve
+
+    def recording_solve(pairs, pb, tb, budget):
+        solved.append(constraints_signature(pairs, pb, tb))
+        return solve(pairs, pb, tb, budget)
+
+    monkeypatch.setattr(connection, "_solve", recording_solve)
+    links = " , ".join(f"(p{i} => p{i + 1})" for i in range(22))
+    result = prove_conn(parse_native_formula(f"(p0 , {links}) => p22"), timeout=60)
+    assert result.verdict is Verdict.PROVED and result.rounds == 26
+    assert solved and len(solved) == len(set(solved))
+
+
 def test_regularity_never_removes_all_proofs():
     for f in enumerate_formulas(5):
         if not ht_valid_prop(f):
@@ -181,21 +201,22 @@ def test_embedding_soundness_sample():
 def test_conn_search_counts_are_unchanged(monkeypatch):
     # (goal, verdict, rounds, steps, clause copies, constraint sets
     # checked by search, connections of the proof), summed over rounds;
-    # no goal comes near its deadline, so the counts do not depend on
-    # the machine
+    # every round holds the call's one sat_cache, so the cached column
+    # adds its size once per round; no goal comes near its deadline, so
+    # the counts do not depend on the machine
     import hatprove.connection as connection
 
     f2 = parse_native_formula("ex Y: all X: (p(Y) => p(X))", close=True)
     cases = [
-        (embed(F1), Verdict.PROVED, 2, 14, 20, 15, 4),
-        (embed(f2), Verdict.PROVED, 2, 5, 9, 7, 2),
-        (embed(parse_native_formula("~ p ; ~ ~ p")), Verdict.PROVED, 2, 7, 8, 8, 4),
+        (embed(F1), Verdict.PROVED, 2, 14, 20, 26, 4),
+        (embed(f2), Verdict.PROVED, 2, 5, 9, 10, 2),
+        (embed(parse_native_formula("~ p ; ~ ~ p")), Verdict.PROVED, 2, 7, 8, 12, 4),
         (embed(parse_native_formula("p => (p ; q)")), Verdict.PROVED, 1, 1, 2, 1, 1),
         (F3, Verdict.PROVED, 1, 1, 2, 1, 1),
         (parse_native_formula("(all X: (p(X) => q)) => ((ex X: p(X)) => q)", close=True),
-         Verdict.PROVED, 2, 4, 5, 3, 2),
+         Verdict.PROVED, 2, 4, 5, 4, 2),
         (parse_native_formula("(all X: p(X)) => (p(a) , p(b))", close=True),
-         Verdict.PROVED, 2, 4, 5, 3, 2),
+         Verdict.PROVED, 2, 4, 5, 4, 2),
         (parse_native_formula("((p => q) => p) => p"), Verdict.REFUTED, 4, 16, 10, 12, 0),
     ]
     searches, copies = [], []
