@@ -32,11 +32,15 @@ This is the one matrix layer of the package: every structural walk over
 a matrix, a prefix or a prefix symbol lives here, and the search
 (`connection`) and the unifier (`prefixes`) call it.  `iter_literals`
 and `iter_clauses` keep an explicit stack; `node_chain` runs from a
-node up to the root, and on it rest the containment test `contains`
-and `meet`, where two nodes diverge; `leaves` yields the term and prefix
-variables of terms and prefix symbols; `matrix_str` is the one printer,
-which `str` of every matrix node and prefix symbol calls.  A fresh
-build numbers its symbols per builder (`a1`, `V1`, `x1`, `#f1`, ...),
+node up to the root, and on it rest the containment test `contains`,
+`meet`, where two nodes diverge, and the renameability pass of
+`build_matrix`.  That pass walks each variable's occurrences once, up
+and down the chain of each distinct clause the variable occurs in, so
+it costs O(occurrences x depth) rather than a `meet` per clause,
+variable and occurrence.  `leaves` yields the term and prefix variables
+of terms and prefix symbols; `matrix_str` is the one printer, which
+`str` of every matrix node and prefix symbol calls.  A fresh build
+numbers its symbols per builder (`a1`, `V1`, `x1`, `#f1`, ...),
 so its printed form is canonical.
 """
 
@@ -314,36 +318,46 @@ def build_matrix(f: Formula) -> MatMatrix:
 
 
 def _occurrences(root: MatMatrix):
-    """Clause set each term/prefix variable occurs under, per literal."""
-    tocc: dict[int, list] = {}
-    pocc: dict[int, list] = {}
+    """Per term and per prefix variable id, the clauses it occurs in
+    directly, each once (a dict used as an ordered set)."""
+    tocc: dict[int, dict] = {}
+    pocc: dict[int, dict] = {}
     for lit in iter_literals(root):
         for v in leaves(lit.args + lit.prefix):
             occ = tocc if isinstance(v, Var) else pocc
-            occ.setdefault(v.id, []).append(lit.clause)
+            occ.setdefault(v.id, {})[lit.clause] = None
     return tocc, pocc
 
 
 def _compute_renameable(root: MatMatrix) -> None:
-    """A copy of clause C may rename variable x iff every occurrence of
-    x outside C diverges from C at a matrix (a sibling clause, over
-    which a quantifier distributes), never at an enclosing clause (a
-    sibling element, whose instances must stay linked)."""
-    tocc, pocc = _occurrences(root)
-    for clause in iter_clauses(root):
-        tset, pset = set(), set()
-        for occ, out in ((tocc, tset), (pocc, pset)):
-            for key, homes in occ.items():
-                relevant = False
-                shared = False
-                for home in homes:
-                    common = meet(home, clause)
-                    if common is clause:
-                        relevant = True
-                    elif isinstance(common, MatClause):
-                        shared = True
-                if relevant and not shared:
-                    out.add(key)
+    """A copy of clause C may rename variable x iff x occurs under C and
+    every occurrence of x outside C diverges from C at a matrix (a
+    sibling clause, over which a quantifier distributes), never at an
+    enclosing clause (a sibling element, whose instances must stay
+    linked).
+
+    Per variable, the chain of each home clause (one x occurs in) is
+    walked twice.  Up: each clause on it records the elements through
+    which homes lie below it.  Down, from the root: every clause passed
+    renames x, up to and including the first that poisons x for the
+    clauses below it, by being a home itself or by having homes under
+    two or more of its elements."""
+    renames: dict[MatClause, tuple] = {}  # (term var ids, prefix var ids)
+    for slot, occ in enumerate(_occurrences(root)):
+        for key, homes in occ.items():
+            chains = [node_chain(h) for h in homes]
+            branches: dict[MatClause, set] = {}
+            for chain in chains:
+                for below, node in zip(chain, chain[1:]):
+                    if isinstance(node, MatClause):
+                        branches.setdefault(node, set()).add(below)
+            for chain in chains:
+                for node in reversed(chain):
+                    if isinstance(node, MatClause):
+                        renames.setdefault(node, (set(), set()))[slot].add(key)
+                        if node in homes or len(branches.get(node, ())) > 1:
+                            break
+    for clause, (tset, pset) in renames.items():
         clause.rename_tvars = frozenset(tset)
         clause.rename_pvars = frozenset(pset)
 

@@ -35,6 +35,13 @@ def enumerate_formulas(max_size, atom_names=("p", "q")):
         yield from gen(size)
 
 
+def horn(n, gap=None):
+    """The Horn chain `(p0 , (p0 => p1) , ... , (p{n-1} => pn)) => pn`
+    in native syntax; `gap` drops one link."""
+    links = [f"(p{i} => p{i + 1})" for i in range(n) if i != gap]
+    return f"(p0 , {' , '.join(links)}) => p{n}"
+
+
 def random_formula(rng: random.Random, size: int, atom_names=("p", "q", "r")):
     if size <= 1:
         return Atom(rng.choice(atom_names))

@@ -43,7 +43,7 @@ from hatprove.terms import (
     fresh_copy,
 )
 from hatprove.verdicts import Verdict
-from support import enumerate_formulas, ht_holds, random_fo_formula, random_formula
+from support import enumerate_formulas, horn, ht_holds, random_fo_formula, random_formula
 
 p, q = Atom("p"), Atom("q")
 F1 = Or(Imp(p, q), Imp(q, p))
@@ -220,11 +220,6 @@ def test_axiom_close_returns_extended_substitution():
     assert search.bnd.mark() == 0
 
 
-def _horn(n, gap=None):
-    links = [f"(p{i} => p{i + 1})" for i in range(n) if i != gap]
-    return f"(p0 , {' , '.join(links)}) => p{n}"
-
-
 def _schwichtenberg(n):
     links = [f"(p{i} => (p{i} => p{i - 1}))" for i in range(n, 0, -1)]
     return f"(p{n} , {' , '.join(links)}) => p0"
@@ -241,8 +236,8 @@ def test_ground_search_counts_are_unchanged():
     # (formula, nodes, rule applications of the proof or None): the
     # counts of the general search, which the ground path must repeat
     cases = [
-        (_horn(22), 855, 322),
-        (_horn(22, gap=11), 891, None),
+        (horn(22), 855, 322),
+        (horn(22, gap=11), 891, None),
         (_schwichtenberg(5), 2133, 769),
         (_de_bruijn(1), 698, 475),
         (_schwichtenberg(7), 20617, 7289),

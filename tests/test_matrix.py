@@ -1,7 +1,10 @@
 import itertools
 import random
 
+from pathlib import Path
+
 from hatprove import matrix, terms
+from hatprove.embedding import embed
 from hatprove.frontend import parse_native_formula
 from hatprove.matrix import (
     MatClause,
@@ -13,10 +16,15 @@ from hatprove.matrix import (
     copy_clause,
     iter_clauses,
     iter_literals,
+    leaves,
     matrix_str,
+    meet,
 )
-from hatprove.terms import Atom, Imp, Neg, Or
-from support import random_formula
+from hatprove.runner import load_goal
+from hatprove.terms import Atom, Imp, Neg, Or, Var
+from support import enumerate_formulas, horn, random_fo_formula, random_formula
+
+MINI = Path(__file__).parent.parent / "problems" / "mini"
 
 p = Atom("p")
 
@@ -172,6 +180,68 @@ def test_copy_shares_beta_context_variables():
             for a in lit.args:
                 for v in _vars(a):
                     assert v.id not in clause.rename_tvars or v.id not in inside
+
+
+def _renameable_by_meet(root):
+    """The rename sets by definition, one `meet` per (clause, variable,
+    occurrence): a copy of C renames x iff x occurs under C and no
+    occurrence of x meets C at a clause other than C."""
+    homes = {}
+    for lit in iter_literals(root):
+        for v in leaves(lit.args + lit.prefix):
+            homes.setdefault((isinstance(v, Var), v.id), []).append(lit.clause)
+    out = {}
+    for c in iter_clauses(root):
+        tset, pset = set(), set()
+        for (is_term, key), hs in homes.items():
+            meets = [meet(h, c) for h in hs]
+            if any(m is c for m in meets) and not any(
+                isinstance(m, MatClause) and m is not c for m in meets
+            ):
+                (tset if is_term else pset).add(key)
+        out[id(c)] = (tset, pset)
+    return out
+
+
+def test_rename_sets_match_the_definition():
+    rng = random.Random(13)
+    goals = list(enumerate_formulas(4))
+    goals += [random_formula(rng, rng.randint(4, 12), ("p", "q", "r", "s")) for _ in range(80)]
+    goals += [random_fo_formula(rng, rng.randint(2, 9)) for _ in range(150)]
+    goals += [load_goal(path, "tptp") for path in sorted(MINI.glob("*.p"))]
+    renaming = 0
+    for goal in goals:
+        for f in (goal, embed(goal)):
+            m = build_matrix(f)
+            expected = _renameable_by_meet(m)
+            for c in iter_clauses(m):
+                assert (c.rename_tvars, c.rename_pvars) == expected[id(c)], f
+                renaming += bool(c.rename_tvars or c.rename_pvars)
+    assert renaming > 1000  # the corpus exercises renaming, not only empty sets
+
+
+def test_renameability_walks_each_home_chain_once(monkeypatch):
+    calls = {"meet": 0, "node_chain": []}
+
+    def counting_meet(node, other):
+        calls["meet"] += 1
+        return meet(node, other)
+
+    def counting_node_chain(node):
+        calls["node_chain"].append(node)
+        return chain(node)
+
+    chain = matrix.node_chain
+    monkeypatch.setattr(matrix, "meet", counting_meet)
+    monkeypatch.setattr(matrix, "node_chain", counting_node_chain)
+    m = build_matrix(embed(parse_native_formula(horn(6))))
+    pairs = {
+        (isinstance(v, Var), v.id, id(lit.clause))
+        for lit in iter_literals(m)
+        for v in leaves(lit.args + lit.prefix)
+    }
+    assert calls["meet"] == 0
+    assert len(calls["node_chain"]) <= len(pairs)
 
 
 def _vars(t):

@@ -8,6 +8,7 @@ import pytest
 
 from hatprove.cli import main
 from hatprove.runner import RunConfig, find_problems, run_problem, run_suite
+from support import horn
 
 MINI = Path(__file__).parent.parent / "problems" / "mini"
 
@@ -136,6 +137,15 @@ def test_deadline_honored_with_grace(tmp_path):
     result = run_problem(path, RunConfig(backend="lht", timeout=0.5))
     assert result.status == "Timeout"
     assert result.seconds < 0.5 + 0.5  # cooperative deadline plus grace
+
+
+def test_wide_matrix_build_keeps_the_deadline(tmp_path):
+    # the embedded 14-link Horn chain has a wide signature: its matrix
+    # must be built in a fraction of the budget, which nothing interrupts
+    path = write(tmp_path, "horn14.htp", horn(14))
+    result = run_problem(path, RunConfig(backend="conn-ht", fmt="native", timeout=0.25))
+    assert result.status == "Timeout"
+    assert result.seconds < 1.0
 
 
 def test_embedding_is_charged_to_the_deadline(monkeypatch):
