@@ -1,6 +1,5 @@
 import itertools
 import random
-
 from pathlib import Path
 
 from hatprove import matrix, terms
@@ -221,19 +220,17 @@ def test_rename_sets_match_the_definition():
 
 
 def test_renameability_walks_each_home_chain_once(monkeypatch):
-    calls = {"meet": 0, "node_chain": []}
+    calls = {"meet": 0, "node_chain": 0}
 
-    def counting_meet(node, other):
-        calls["meet"] += 1
-        return meet(node, other)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counting_node_chain(node):
-        calls["node_chain"].append(node)
-        return chain(node)
+        return wrapper
 
-    chain = matrix.node_chain
-    monkeypatch.setattr(matrix, "meet", counting_meet)
-    monkeypatch.setattr(matrix, "node_chain", counting_node_chain)
+    monkeypatch.setattr(matrix, "meet", counted("meet", matrix.meet))
+    monkeypatch.setattr(matrix, "node_chain", counted("node_chain", matrix.node_chain))
     m = build_matrix(embed(parse_native_formula(horn(6))))
     pairs = {
         (isinstance(v, Var), v.id, id(lit.clause))
@@ -241,7 +238,7 @@ def test_renameability_walks_each_home_chain_once(monkeypatch):
         for v in leaves(lit.args + lit.prefix)
     }
     assert calls["meet"] == 0
-    assert len(calls["node_chain"]) <= len(pairs)
+    assert 0 < calls["node_chain"] <= len(pairs)
 
 
 def _vars(t):
