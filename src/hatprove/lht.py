@@ -33,13 +33,22 @@ backs a Refuted.
 A ground search (no variable and no quantifier in the root sequent, so
 nothing is ever bound) does the same search with less work: the axiom
 check is a hash lookup, each premise keeps its one proof, and the proof
-needs no freezing.  Sequents are tuples throughout, shared by the proof
-nodes.
+needs no freezing.  It also proves each sequent once.  Every node
+commits, so a proof of a sequent serves wherever the sequent recurs:
+the search keeps a table from the key of each proved sequent that is
+not an axiom to its proof node, and a premise found there reuses the
+node, which makes the proof a DAG.  A key is an order-independent hash
+of each side, and a premise's key is its parent's less the principal
+plus the premise's additions, so keys cost O(additions) per node.  A
+hit is reused only when both sides equal the premise's as multisets,
+so a hash collision costs time, not soundness.  Sequents are tuples
+throughout, shared by the proof nodes.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
@@ -60,11 +69,10 @@ from .terms import (
     Term,
     Var,
     fresh_copy,
+    is_ground,
     is_literal,
     skolem_term,
     struct_equal,
-    subformulas,
-    term_vars,
     unfold_iff,
     unify_literals,
 )
@@ -156,13 +164,35 @@ def _quantifier_premise(rule: RuleDef, principal: Formula, instance: Formula) ->
     return [([inst, principal], [])] if rule.pol == 1 else [([], [inst, principal])]
 
 
-def _is_ground(formulas) -> bool:
-    """True iff no variable and no quantifier occurs in the formulas."""
-    return not any(
-        isinstance(g, QUANT) or (isinstance(g, Atom) and any(map(term_vars, g.args)))
-        for f in formulas
-        for g in subformulas(f)
-    )
+# A sequent's key is L * _LEFT + R, where L and R are the sums of the
+# hashes on each side: order-independent, and one int per table entry.
+# With fewer than 2**8 formulas on the right, |R| < _LEFT / 2, so the key
+# determines L and R; past that, keys only collide more often.
+_LEFT = 1 << 72
+
+
+def _sequent_key(left: tuple, right: tuple) -> int:
+    return sum(map(hash, left)) * _LEFT + sum(map(hash, right))
+
+
+def _premise_keys(key: int, pol: int, principal: Formula, adds: list) -> list:
+    """The premises' keys: the node's key less the principal, plus each
+    premise's additions."""
+    key -= hash(principal) * _LEFT if pol == 1 else hash(principal)
+    keys = []
+    for la, ra in adds:
+        k = key
+        for f in la:
+            k += hash(f) * _LEFT
+        for f in ra:
+            k += hash(f)
+        keys.append(k)
+    return keys
+
+
+def _same_side(a: tuple, b: tuple) -> bool:
+    """a and b are equal as multisets."""
+    return len(a) == len(b) and (a == b or Counter(a) == Counter(b))
 
 
 # ============================================================
@@ -183,9 +213,19 @@ class ProofNode:
     instance: Optional[Formula] = None  # instantiated body added to the premise
 
     def rule_applications(self) -> int:
-        return (0 if self.rule.startswith("axiom") else 1) + sum(
-            c.rule_applications() for c in self.children
-        )
+        """Rule applications of the proof read as a tree: a node that
+        several premises share counts for each, but is visited once."""
+        apps = {}
+
+        def count(node):
+            if not node.children:
+                return 0 if node.rule.startswith("axiom") else 1
+            n = apps.get(id(node))
+            if n is None:
+                n = apps[id(node)] = 1 + sum(map(count, node.children))
+            return n
+
+        return count(self)
 
 
 def _freeze(node: ProofNode, bnd: Bindings) -> ProofNode:
@@ -205,6 +245,22 @@ def _freeze(node: ProofNode, bnd: Bindings) -> ProofNode:
     )
 
 
+def _ground_axiom(left: tuple, right: tuple) -> Optional[ProofNode]:
+    """The axiom leaf of a ground sequent, or None.
+
+    Nothing can be bound: struct_equal is ==, and two literals unify
+    only when they are identical, which commits.
+    """
+    rights = set(right)
+    negated = {n.body for n in left if isinstance(n, Neg)}
+    for a in left:
+        if a in rights:
+            return ProofNode(left, right, "axiom1", closing=(a, a))
+        if a in negated:
+            return ProofNode(left, right, "axiom2", closing=(a, a))
+    return None
+
+
 # ============================================================
 # The search
 # ============================================================
@@ -220,6 +276,7 @@ class LhtSearch:
         self.blocked = False   # a free-variable rule was cut off by the limit
         self.nodes = 0
         self.ground: Optional[bool] = None  # set from the root sequent
+        self.settled = {}  # ground: sequent key -> proof node, not a leaf
 
     # -- axiom closures ----------------------------------------------------
 
@@ -229,19 +286,6 @@ class LhtSearch:
         Returns True when the commit case fired, in which case the
         caller must not fall through to rule application.
         """
-        if self.ground:
-            # nothing can be bound: struct_equal is ==, and two literals
-            # unify only when they are identical, which commits
-            rights = set(right)
-            negated = {n.body for n in left if isinstance(n, Neg)}
-            for a in left:
-                if a in rights:
-                    yield ProofNode(left, right, "axiom1", closing=(a, a))
-                    return True
-                if a in negated:
-                    yield ProofNode(left, right, "axiom2", closing=(a, a))
-                    return True
-            return False
         candidates = [(b, "axiom1") for b in right]
         candidates += [(n.body, "axiom2") for n in left if isinstance(n, Neg)]
         for a in left:
@@ -272,14 +316,25 @@ class LhtSearch:
             return node if self.ground else _freeze(node, self.bnd)
         return None
 
-    def prove(self, left: tuple, right: tuple, pos: str, freev: list) -> Iterator[ProofNode]:
+    def prove(
+        self, left: tuple, right: tuple, pos: str, freev: list, key: Optional[int] = None
+    ) -> Iterator[ProofNode]:
+        """Proofs of left |- right; a ground search passes the sequent's
+        key, which the root computes."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout
         self.nodes += 1
         if self.ground is None:
-            self.ground = not freev and _is_ground(left + right)
+            self.ground = not freev and is_ground(left + right)
 
-        if (yield from self._closures(left, right)):
+        if self.ground:
+            if key is None:
+                key = _sequent_key(left, right)
+            leaf = _ground_axiom(left, right)
+            if leaf is not None:
+                yield leaf
+                return
+        elif (yield from self._closures(left, right)):
             return
 
         # the invertible rule first in the table commits, on its leftmost
@@ -297,7 +352,7 @@ class LhtSearch:
                 elif best is None or rank < best[0]:
                     best = (rank, rule, idx)
         if best is not None:
-            yield from self._apply(best[1], best[2], left, right, pos, freev)
+            yield from self._apply(best[1], best[2], left, right, pos, freev, key)
             return
         # in table order, then left to right (the sort is stable)
         freevar.sort(key=itemgetter(0))
@@ -307,7 +362,7 @@ class LhtSearch:
                 continue
             yield from self._apply(rule, idx, left, right, pos, freev)
 
-    def _apply(self, rule, idx, left, right, pos, freev) -> Iterator[ProofNode]:
+    def _apply(self, rule, idx, left, right, pos, freev, key=None) -> Iterator[ProofNode]:
         if rule.pol == 1:
             principal = left[idx]
             l0, r0 = left[:idx] + left[idx + 1 :], right
@@ -333,7 +388,15 @@ class LhtSearch:
         else:
             adds = rule.premises(*parts)
 
-        premises = [((*la, *l0), (*ra, *r0)) for la, ra in adds]
+        if self.ground:
+            keys = _premise_keys(key, rule.pol, principal, adds)
+        else:
+            keys = [None] * len(adds)
+        # a side that a premise adds nothing to is the node's side, shared
+        premises = [
+            ((*la, *l0) if la else l0, (*ra, *r0) if ra else r0, k)
+            for (la, ra), k in zip(adds, keys)
+        ]
         try:
             for children in self._premises(premises, pos, freev2, 0, ()):
                 yield ProofNode(
@@ -353,17 +416,26 @@ class LhtSearch:
         if i == len(premises):
             yield acc
             return
-        l, r = premises[i]
-        proofs = self.prove(l, r, ("l", "r", "x")[i] + pos, freev)
+        l, r, key = premises[i]
+        sub = ("l", "r", "x")[i] + pos
         if self.ground:
-            # a ground sequent has at most one proof: keep it and drop
-            # the suspended search behind it instead of resuming it
-            node = next(proofs, None)
-            proofs.close()
-            if node is not None:
-                yield from self._premises(premises, pos, freev, i + 1, acc + (node,))
+            # a ground sequent has at most one proof: reuse it if it is
+            # settled, else search for it.  The search commits, so once it
+            # has yielded, resuming it only returns, which unwinds faster
+            # than closing it
+            node = self.settled.get(key)
+            if node is None or not (_same_side(node.left, l) and _same_side(node.right, r)):
+                proofs = self.prove(l, r, sub, freev, key)
+                node = next(proofs, None)
+                next(proofs, None)
+                if node is None:
+                    return
+                # an axiom leaf is found again as fast as it is looked up
+                if node.children:
+                    self.settled[key] = node
+            yield from self._premises(premises, pos, freev, i + 1, acc + (node,))
             return
-        for node in proofs:
+        for node in self.prove(l, r, sub, freev):
             yield from self._premises(premises, pos, freev, i + 1, acc + (node,))
 
 

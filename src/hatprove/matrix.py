@@ -64,6 +64,7 @@ from .terms import (
     Var,
     free_vars,
     fresh_var,
+    is_ground,
     substitute,
     unfold_iff,
 )
@@ -200,7 +201,9 @@ def leaves(items: Sequence) -> Iterator[Union[Var, PVar]]:
 
 
 class MatrixBuilder:
-    def __init__(self):
+    def __init__(self, ground: bool):
+        # a goal without term variables: no subformula has a free one
+        self.ground = ground
         self.a_count = 0
         self.v_count = 0
         self.x_count = 0
@@ -225,7 +228,7 @@ class MatrixBuilder:
 
     def _deps(self, f: Formula, prefix: tuple) -> list:
         """Free term and prefix variables of the prefixed formula."""
-        deps = sorted(free_vars(f), key=lambda v: v.id)
+        deps = [] if self.ground else sorted(free_vars(f), key=lambda v: v.id)
         for s in prefix:
             # compare objects: Var and PVar ids come from separate counters
             if isinstance(s, PVar) and s not in deps:
@@ -303,7 +306,7 @@ def _set_parent(e, clause):
 
 def build_matrix(f: Formula) -> MatMatrix:
     """The intuitionistic non-clausal matrix M(f^0 : empty prefix)."""
-    builder = MatrixBuilder()
+    builder = MatrixBuilder(is_ground((f,)))
     clauses = builder.build(f, 0, ())
     root = MatMatrix(clauses)
     for c in clauses:

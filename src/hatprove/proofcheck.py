@@ -1,12 +1,15 @@
 """Independent validation of sequent proofs.
 
-Walks a frozen proof tree (closing substitution already applied) and
+Walks a frozen proof (closing substitution already applied) and
 re-derives every node from its conclusion: leaves must satisfy one of
 the two axioms, and each internal node's children must be exactly the
 premises the named rule produces from the conclusion and the recorded
-quantifier witness.  The walk shares no state with the search; it only
-reads the rule table, through `lht.rule_of`, so a node's named rule
-must be the one its principal's shape gives.
+quantifier witness.  A proof is a DAG: a ground search reuses the node
+of a sequent it has proved, so premises may share a node, whose sequent
+matches each of them as a multiset.  Each distinct node is checked
+once, and the walk keeps an explicit stack.  The walk shares no state
+with the search; it only reads the rule table, through `lht.rule_of`,
+so a node's named rule must be the one its principal's shape gives.
 
 Quantifier nodes are checked against the free-variable/skolemized rule
 forms: the instance must be the principal's body with the binder
@@ -60,8 +63,21 @@ def _multiset_match(expected: list, actual: list) -> None:
             raise ProofError(f"premise formula {f} not found")
 
 
-def check_proof(node: ProofNode) -> None:
-    """Raises ProofError unless the tree is a valid derivation."""
+def check_proof(root: ProofNode) -> None:
+    """Raises ProofError unless the DAG is a valid derivation."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        _check_node(node)
+        for child in reversed(node.children):
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+
+
+def _check_node(node: ProofNode) -> None:
+    """Raises ProofError unless node follows from its children's sequents."""
     left, right = list(node.left), list(node.right)
 
     if node.rule in ("axiom1", "axiom2"):
@@ -120,4 +136,3 @@ def check_proof(node: ProofNode) -> None:
     for (la, ra), child in zip(adds, node.children):
         _multiset_match(la + l0, list(child.left))
         _multiset_match(ra + r0, list(child.right))
-        check_proof(child)

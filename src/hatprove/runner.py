@@ -94,7 +94,9 @@ def load_goal(path, fmt: str, axiom_root=None):
     path = Path(path)
     root = axiom_root if axiom_root is not None else path.parent
     prob = parse_problem(path.read_bytes(), fmt, name=path.stem, axiom_root=root)
-    return add_equality_axioms(assemble_goal(prob))
+    goal = assemble_goal(prob)
+    # parse_problem has already looked for `=` in every formula
+    return add_equality_axioms(goal) if prob.uses_equality else goal
 
 
 def run_problem(path, cfg: RunConfig) -> RunResult:

@@ -9,9 +9,9 @@ not walk formula structure themselves; they split on a formula's shape
 only to apply a rule, build a matrix, evaluate or print.  The walkers
 `subformulas` (pre-order), `signature` and `free_vars` keep an explicit
 stack, so formula depth is bounded by memory, not by the recursion
-limit; `formula_size` counts `subformulas`.  The one rebuild,
-`map_terms`, maps the arguments of every atom and the binder of every
-quantifier and shares each part in which nothing changes;
+limit; `formula_size` and `is_ground` read `subformulas`.  The one
+rebuild, `map_terms`, maps the arguments of every atom and the binder
+of every quantifier and shares each part in which nothing changes;
 `substitute`, `fresh_copy` and `Bindings.resolve_formula` run on it.
 
 Proof search backtracks constantly, so bindings live in a trail-backed
@@ -410,6 +410,15 @@ def free_vars(f: Formula) -> set:
         else:
             raise TypeError(f"not a formula: {g!r}")
     return out
+
+
+def is_ground(formulas: Iterable[Formula]) -> bool:
+    """True iff no variable and no quantifier occurs in the formulas."""
+    return not any(
+        isinstance(g, QUANT) or (isinstance(g, Atom) and any(map(term_vars, g.args)))
+        for f in formulas
+        for g in subformulas(f)
+    )
 
 
 def formula_size(f: Formula) -> int:

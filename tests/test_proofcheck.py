@@ -4,6 +4,7 @@ import pytest
 
 from hatprove.frontend import parse_native_formula
 from hatprove.lht import LhtSearch
+from hatprove import proofcheck
 from hatprove.proofcheck import ProofError, check_proof
 from hatprove.terms import And, Atom, Imp, Or, con, substitute
 
@@ -14,6 +15,30 @@ def _proof(f):
     proof = LhtSearch(1).first_proof((), (f,))
     check_proof(proof)
     return proof
+
+
+def test_shared_premise_node_is_checked_once(monkeypatch):
+    # both premises of r8 are |- p => p, and the second reuses the
+    # first's node
+    proof = _proof(And(Imp(p, p), Imp(p, p)))
+    shared = proof.children[0]
+    assert proof.rule == "r8" and proof.children[1] is shared
+    assert proof.rule_applications() == 3
+    checked = []
+    check_node = proofcheck._check_node
+    monkeypatch.setattr(proofcheck, "_check_node", lambda n: checked.append(n) or check_node(n))
+    check_proof(proof)
+    # the root, the shared r13 node and its two leaves
+    assert len(checked) == 4
+    assert len({id(n) for n in checked}) == 4
+
+
+def test_rejects_invalid_shared_premise_node():
+    proof = _proof(And(Imp(p, p), Imp(p, p)))
+    shared = proof.children[0]
+    bad = replace(shared, children=shared.children[:1])
+    with pytest.raises(ProofError, match="expects 2 premises"):
+        check_proof(replace(proof, children=(bad, bad)))
 
 
 def test_rejects_unknown_rule():
