@@ -2,7 +2,7 @@
 
     hatprove [--backend lht|lj|lj-ht|conn|conn-ht] [--timeout SECS]
              [--format tptp|native] [--axiom-root DIR] [--oracle]
-             [--emit-axioms] [--emit-matrix] [--no-reg] [--no-rb]
+             [--emit-axioms] [--emit-matrix] [--no-reg]
              [--csv FILE] [--jobs N] PATH...
 
 Paths are problem files or directories of them.  Exit status 0 means
@@ -43,8 +43,6 @@ def _parser() -> argparse.ArgumentParser:
                     help="print the prefixed matrix of the goal and exit")
     ap.add_argument("--no-reg", action="store_true",
                     help="disable regularity in the connection prover")
-    ap.add_argument("--no-rb", action="store_true",
-                    help="connection prover: complete configuration only")
     ap.add_argument("--csv", default=None, metavar="FILE",
                     help="write per-problem results as CSV")
     ap.add_argument("--jobs", type=int, default=1, metavar="N")
@@ -98,7 +96,6 @@ def _main(argv) -> int:
         fmt=args.format,
         axiom_root=args.axiom_root,
         regularity=not args.no_reg,
-        restricted_bt=False if args.no_rb else None,
     )
     if len(problems) == 1:
         result = run_problem(problems[0], cfg)

@@ -22,12 +22,10 @@ original clause and the length of the active path: a literal on a path
 that long may still close by reduction, but not by extension.  Short
 proofs are therefore found in the first rounds, whatever order the
 clauses are in (as in leanCoP).  Optional pruning: regularity (no
-literal may repeat on a path) and restricted backtracking (the first
-connection that closes a literal is committed), the latter incomplete
-and therefore only one pass of the strategy schedule; exhausting the
-complete pass without the limit ever cutting a copy or an extension
-refutes.  The deepening loop is `verdicts.deepen`, shared with the
-sequent provers, and the matrix is built once per call.
+literal may repeat on a path).  The search is complete, so exhausting a
+round without the limit ever cutting a copy or an extension refutes.
+The deepening loop is `verdicts.deepen`, shared with the sequent
+provers, and the matrix is built once per call.
 
 This module runs the search only.  Every question about the matrix's
 structure goes to `matrix`: which clauses and literals there are
@@ -68,7 +66,7 @@ from .prefixes import (
     resolved_string,
 )
 from .terms import Bindings, Formula, unify_occurs
-from .verdicts import ProverResult, SearchTimeout, Verdict, deepen
+from .verdicts import ProverResult, SearchTimeout, deepen
 
 
 @dataclass
@@ -98,14 +96,12 @@ class ConnSearch:
         copy_limit: int,
         deadline: Optional[float] = None,
         regularity: bool = True,
-        restricted_bt: bool = False,
         sat_cache: Optional[dict] = None,
     ):
         self.m = matrix
         self.copy_limit = copy_limit
         self.deadline = deadline
         self.regularity = regularity
-        self.restricted_bt = restricted_bt
         self.tb = Bindings()
         self.pb = Bindings()  # prefix variables
         self.constraints: list = []
@@ -278,8 +274,6 @@ class ConnSearch:
         if self.regularity and any(self._sigma_equal(lit, p) for p in path):
             return
 
-        solved = False
-
         # reduction against the path
         for plit in path:
             if plit.pred == lit.pred and plit.pol != lit.pol:
@@ -287,11 +281,8 @@ class ConnSearch:
                 if self._connect(lit, plit):
                     try:
                         yield True
-                        solved = True
                     finally:
                         self._disconnect(mark)
-                    if solved and self.restricted_bt:
-                        return
 
         # extension into a copied clause, up to the path bound
         if len(path) >= self.copy_limit:
@@ -321,11 +312,8 @@ class ConnSearch:
                             rest = beta_clause(cp, l2c)
                             for _ in self._solve_all(rest, new_path):
                                 yield True
-                                solved = True
                         finally:
                             self._disconnect(mark)
-                        if solved and self.restricted_bt:
-                            return
             finally:
                 self._remove_copy(c1, ix)
 
@@ -352,49 +340,21 @@ def prove_conn(
     f: Formula,
     timeout: Optional[float] = None,
     regularity: bool = True,
-    restricted_bt: Optional[bool] = None,
 ) -> ProverResult:
     """Connection proof search with iterative deepening.
 
     Round n allows n copies of each clause and active paths of length n.
-    Default schedule runs restricted backtracking first (fast, not
-    complete) for at most three rounds and a quarter of the time, then
-    the complete configuration.  Refuted is only reported when a
-    complete round exhausted its search space without ever hitting the
-    copy or path bound; the same under restricted backtracking is
-    inconclusive.
-    Passing restricted_bt pins a single configuration instead of the
-    schedule, and a pinned restricted pass that exhausts gives up.
-    The matrix is built once: every round restores the clause slots it
-    fills with copies.  One `sat_cache` serves every round and pass.
+    Refuted is reported when a round exhausted its search space without
+    ever hitting the copy or path bound.  The matrix is built once:
+    every round restores the clause slots it fills with copies.  One
+    `sat_cache` serves every round.
     """
-    start = time.monotonic()
-    deadline = start + timeout if timeout is not None else None
-    passes = [True, False] if restricted_bt is None else [restricted_bt]
+    deadline = time.monotonic() + timeout if timeout is not None else None
     matrix = build_matrix(f)
-    sat_cache: dict = {}  # a signature's satisfiability holds in every round and pass
-    rounds = 0
-    for rb in passes:
-        pass_deadline = deadline
-        if rb and timeout is not None and len(passes) > 1:
-            pass_deadline = start + 0.25 * timeout
+    sat_cache: dict = {}  # a signature's satisfiability holds in every round
 
-        def run_round(limit):
-            search = ConnSearch(matrix, limit, pass_deadline, regularity, rb, sat_cache)
-            return search, next(search.run(), None)
+    def run_round(limit):
+        search = ConnSearch(matrix, limit, deadline, regularity, sat_cache)
+        return search, next(search.run(), None)
 
-        result = deepen(
-            run_round,
-            pass_deadline,
-            lambda proof: len(proof.connections),
-            cap=3 if rb else None,  # restricted backtracking rarely profits from depth
-        )
-        rounds += result.rounds
-        result.rounds = rounds
-        if result.verdict is Verdict.REFUTED and rb:
-            # exhausted under restricted backtracking: inconclusive
-            if len(passes) == 1:
-                return ProverResult(Verdict.GAVE_UP, rounds=rounds)
-        elif result.verdict is not Verdict.TIMEOUT:
-            return result
-    return ProverResult(Verdict.TIMEOUT, rounds=rounds)
+    return deepen(run_round, deadline, lambda proof: len(proof.connections))

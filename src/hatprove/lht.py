@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional
 
 from .oracle import HERE, MAX_DOMAIN, eval_ht, ht_countermodel_fo
@@ -200,7 +200,11 @@ def _same_side(a: tuple, b: tuple) -> bool:
 # ============================================================
 
 
-@dataclass(slots=True)
+_NODE_NAMES = ("left", "right", "rule", "principal", "closing", "new_var", "witness", "instance")
+_node_fields = attrgetter(*_NODE_NAMES)
+
+
+@dataclass(slots=True, eq=False)
 class ProofNode:
     left: tuple
     right: tuple
@@ -211,6 +215,41 @@ class ProofNode:
     new_var: Optional[Var] = None       # free-variable rules
     witness: Optional[Term] = None      # skolemizing rules
     instance: Optional[Formula] = None  # instantiated body added to the premise
+
+    def __eq__(self, other):
+        """Equal fields and premises; each pair of nodes is compared once,
+        so a DAG is not expanded into its tree."""
+        seen, todo = set(), [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if not isinstance(b, ProofNode) or len(a.children) != len(b.children):
+                return False
+            if _node_fields(a) != _node_fields(b):
+                return False
+            seen.add((id(a), id(b)))
+            todo.extend(zip(a.children, b.children))
+        return True
+
+    def __repr__(self):
+        """Each distinct node written once, as `#k=ProofNode(...)`, and as
+        `#k#` where it recurs; formulas in native syntax, None fields left out."""
+        labels = {}
+
+        def show(node):
+            if id(node) in labels:
+                return f"#{labels[id(node)]}#"
+            labels[id(node)] = k = len(labels) + 1
+            fields = [
+                f"{name}=[{', '.join(map(str, v))}]" if type(v) is tuple else f"{name}={v}"
+                for name, v in zip(_NODE_NAMES, _node_fields(node))
+                if v is not None
+            ]
+            fields.append(f"children=[{', '.join(map(show, node.children))}]")
+            return f"#{k}=ProofNode({', '.join(fields)})"
+
+        return show(self)
 
     def rule_applications(self) -> int:
         """Rule applications of the proof read as a tree: a node that

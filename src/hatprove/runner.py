@@ -34,7 +34,6 @@ _STATUS = {
     Verdict.PROVED: "Theorem",
     Verdict.REFUTED: "Non-Theorem",
     Verdict.TIMEOUT: "Timeout",
-    Verdict.GAVE_UP: "GaveUp",
 }
 
 
@@ -45,7 +44,6 @@ class RunConfig:
     fmt: str = "tptp"
     axiom_root: Optional[str] = None
     regularity: bool = True
-    restricted_bt: Optional[bool] = None  # None = schedule
 
 
 @dataclass
@@ -77,12 +75,7 @@ def _engine(goal, cfg: RunConfig, start: float):
         return prove_lht(goal, timeout=timeout)
     if engine == "lj":
         return prove_lj(goal, timeout=timeout)
-    return prove_conn(
-        goal,
-        timeout=timeout,
-        regularity=cfg.regularity,
-        restricted_bt=cfg.restricted_bt,
-    )
+    return prove_conn(goal, timeout=timeout, regularity=cfg.regularity)
 
 
 def load_goal(path, fmt: str, axiom_root=None):

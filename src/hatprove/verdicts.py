@@ -12,7 +12,6 @@ class Verdict(enum.Enum):
     PROVED = "Proved"
     REFUTED = "Refuted"
     TIMEOUT = "Timeout"
-    GAVE_UP = "GaveUp"
 
 
 class SearchTimeout(Exception):
@@ -36,7 +35,6 @@ def deepen(
     run_round: Callable,
     deadline: Optional[float],
     rule_apps: Callable = lambda proof: 0,
-    cap: Optional[int] = None,
     settle: Optional[Callable] = None,
 ) -> ProverResult:
     """Iterative deepening of a search limit, starting at 1.
@@ -47,14 +45,12 @@ def deepen(
     the limit, so it is the search every higher limit would do, and the
     failure is a refutation.  A blocked round may be settled by
     `settle(limit)`, which returns a checked countermodel or None.
-    Rounds stop at the deadline, where a `SearchTimeout` from a round or
-    from `settle` lands too, and after round `cap`; both give Timeout.
+    Rounds stop at the deadline, and a `SearchTimeout` from a round or
+    from `settle` lands there too; either gives Timeout.
     """
     rounds = 0
     try:
-        while cap is None or rounds < cap:
-            if deadline is not None and time.monotonic() > deadline:
-                break
+        while deadline is None or time.monotonic() <= deadline:
             rounds += 1
             search, proof = run_round(rounds)
             if proof is not None:

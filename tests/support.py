@@ -42,6 +42,13 @@ def horn(n, gap=None):
     return f"(p0 , {' , '.join(links)}) => p{n}"
 
 
+def schwichtenberg(n):
+    """`(pn , (pn => (pn => p{n-1})) , ... , (p1 => (p1 => p0))) => p0`
+    in native syntax; its sequents recur all through a proof."""
+    links = [f"(p{i} => (p{i} => p{i - 1}))" for i in range(n, 0, -1)]
+    return f"(p{n} , {' , '.join(links)}) => p0"
+
+
 def random_formula(rng: random.Random, size: int, atom_names=("p", "q", "r")):
     if size <= 1:
         return Atom(rng.choice(atom_names))

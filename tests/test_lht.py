@@ -44,7 +44,14 @@ from hatprove.terms import (
     fresh_copy,
 )
 from hatprove.verdicts import Verdict
-from support import enumerate_formulas, horn, ht_holds, random_fo_formula, random_formula
+from support import (
+    enumerate_formulas,
+    horn,
+    ht_holds,
+    random_fo_formula,
+    random_formula,
+    schwichtenberg,
+)
 
 p, q = Atom("p"), Atom("q")
 F1 = Or(Imp(p, q), Imp(q, p))
@@ -221,11 +228,6 @@ def test_axiom_close_returns_extended_substitution():
     assert search.bnd.mark() == 0
 
 
-def _schwichtenberg(n):
-    links = [f"(p{i} => (p{i} => p{i - 1}))" for i in range(n, 0, -1)]
-    return f"(p{n} , {' , '.join(links)}) => p0"
-
-
 def _de_bruijn(n):
     m = 2 * n + 1
     everything = "(" + " , ".join(f"p{i}" for i in range(1, m + 1)) + ")"
@@ -242,9 +244,9 @@ def test_ground_search_counts_are_unchanged():
     cases = [
         (horn(22), 855, 322),
         (horn(22, gap=11), 891, None),
-        (_schwichtenberg(5), 402, 769),
+        (schwichtenberg(5), 402, 769),
         (_de_bruijn(1), 698, 475),
-        (_schwichtenberg(7), 1644, 7289),
+        (schwichtenberg(7), 1644, 7289),
     ]
     for text, nodes, apps in cases:
         search = LhtSearch(1)
@@ -271,7 +273,7 @@ def test_settled_sequents_survive_key_collisions(monkeypatch):
     cases = [
         (horn(22), 322),
         (horn(22, gap=11), None),
-        (_schwichtenberg(5), 769),
+        (schwichtenberg(5), 769),
         (_de_bruijn(1), 475),
     ]
     for text, apps in cases:

@@ -1,12 +1,14 @@
+import re
 from dataclasses import replace
 
 import pytest
 
 from hatprove.frontend import parse_native_formula
-from hatprove.lht import LhtSearch
+from hatprove.lht import LhtSearch, _freeze
 from hatprove import proofcheck
 from hatprove.proofcheck import ProofError, check_proof
 from hatprove.terms import And, Atom, Imp, Or, con, substitute
+from support import schwichtenberg
 
 p, q = Atom("p"), Atom("q")
 
@@ -31,6 +33,30 @@ def test_shared_premise_node_is_checked_once(monkeypatch):
     # the root, the shared r13 node and its two leaves
     assert len(checked) == 4
     assert len({id(n) for n in checked}) == 4
+
+
+def test_shared_nodes_print_and_compare_once():
+    # Schwichtenberg 9: 6,630 distinct nodes, 67,377 rule applications
+    # read as a tree, which would print as 138 million characters
+    search = LhtSearch(1)
+    proof = search.first_proof((), (parse_native_formula(schwichtenberg(9)),))
+    assert proof.rule_applications() == 67377
+    text = repr(proof)
+    assert len(text) < 2_000_000
+    # each distinct node is written out once, and named where it recurs
+    assert text.count("=ProofNode(") == 6630 and re.search(r"#\d+#", text)
+    frozen = _freeze(proof, search.bnd)
+    assert frozen is not proof and frozen == proof
+    # a copy with one changed leaf shares every other node with the proof
+    path = [proof]
+    while path[-1].children:
+        path.append(path[-1].children[-1])
+    leaf = path.pop()
+    changed = replace(leaf, rule="axiom2" if leaf.rule == "axiom1" else "axiom1")
+    for node in reversed(path):
+        changed = replace(node, children=node.children[:-1] + (changed,))
+    assert changed != proof and proof != changed
+    assert changed == replace(changed, children=changed.children)
 
 
 def test_rejects_invalid_shared_premise_node():

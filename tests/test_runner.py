@@ -1,11 +1,13 @@
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hatprove.cli as cli
 from hatprove.cli import main
 from hatprove.runner import RunConfig, find_problems, run_problem, run_suite
 from support import horn
@@ -319,9 +321,27 @@ def test_cli_backend_flags(tmp_path, capsys):
 
 def test_cli_conn_flags(tmp_path, capsys):
     path = write(tmp_path, "f3.p", "fof(c, conjecture, p => p).")
-    code = main([str(path), "--backend", "conn", "--no-reg", "--no-rb", "--timeout", "5"])
+    code = main([str(path), "--backend", "conn", "--no-reg", "--timeout", "5"])
     assert code == 0
     assert "Theorem" in capsys.readouterr().out
+    # the connection prover has one configuration; --no-rb is gone
+    with pytest.raises(SystemExit) as exc:
+        main([str(path), "--backend", "conn", "--no-rb"])
+    assert exc.value.code == 2
+
+
+def test_usage_text_names_the_parser_options():
+    options = {
+        opt
+        for action in cli._parser()._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    # the docstring's usage block is its second paragraph
+    for usage in (cli.__doc__.split("\n\n")[1], block):
+        assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options
 
 
 def test_console_script_installed():

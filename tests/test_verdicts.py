@@ -30,11 +30,6 @@ def test_unblocked_round_refutes():
     assert (r.verdict, r.rounds, run.limits) == (Verdict.REFUTED, 2, [1, 2])
 
 
-def test_cap_stops_blocked_rounds():
-    r = deepen(Round(), None, cap=3)
-    assert (r.verdict, r.rounds) == (Verdict.TIMEOUT, 3)
-
-
 def test_settle_refutes_a_blocked_round_with_its_model():
     run = Round()
     r = deepen(run, None, settle=lambda limit: "model" if limit == 2 else None)
