@@ -2,7 +2,7 @@
 
     hatprove [--backend lht|lj|lj-ht|conn|conn-ht] [--timeout SECS]
              [--format tptp|native] [--axiom-root DIR] [--oracle]
-             [--emit-axioms] [--emit-matrix] [--no-reg]
+             [--emit-axioms] [--emit-matrix]
              [--csv FILE] [--jobs N] PATH...
 
 Paths are problem files or directories of them.  Exit status 0 means
@@ -41,8 +41,6 @@ def _parser() -> argparse.ArgumentParser:
                     help="print the generated embedding axioms and exit")
     ap.add_argument("--emit-matrix", action="store_true",
                     help="print the prefixed matrix of the goal and exit")
-    ap.add_argument("--no-reg", action="store_true",
-                    help="disable regularity in the connection prover")
     ap.add_argument("--csv", default=None, metavar="FILE",
                     help="write per-problem results as CSV")
     ap.add_argument("--jobs", type=int, default=1, metavar="N")
@@ -95,7 +93,6 @@ def _main(argv) -> int:
         timeout=args.timeout,
         fmt=args.format,
         axiom_root=args.axiom_root,
-        regularity=not args.no_reg,
     )
     if len(problems) == 1:
         result = run_problem(problems[0], cfg)

@@ -21,9 +21,10 @@ limit, raised by iterative deepening, bounds both the copies of each
 original clause and the length of the active path: a literal on a path
 that long may still close by reduction, but not by extension.  Short
 proofs are therefore found in the first rounds, whatever order the
-clauses are in (as in leanCoP).  Optional pruning: regularity (no
-literal may repeat on a path).  The search is complete, so exhausting a
-round without the limit ever cutting a copy or an extension refutes.
+clauses are in (as in leanCoP).  Regularity is part of the search, as
+in leanCoP: no literal may repeat on a path.  The search is complete,
+so exhausting a round without the limit ever cutting a copy or an
+extension refutes.
 The deepening loop is `verdicts.deepen`, shared with the sequent
 provers, and the matrix is built once per call.
 
@@ -37,7 +38,6 @@ prefix constraints go to the unifier in `prefixes`.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -95,20 +95,17 @@ class ConnSearch:
         matrix: MatMatrix,
         copy_limit: int,
         deadline: Optional[float] = None,
-        regularity: bool = True,
         sat_cache: Optional[dict] = None,
     ):
         self.m = matrix
         self.copy_limit = copy_limit
         self.deadline = deadline
-        self.regularity = regularity
         self.tb = Bindings()
         self.pb = Bindings()  # prefix variables
         self.constraints: list = []
         self.connections: list = []
         self.copies: Counter = Counter()
         self.sat_cache = {} if sat_cache is None else sat_cache
-        self.copy_counter = itertools.count(1)
         self.blocked = False
         self.steps = 0
         # literal count of each clause, keyed by the label copies keep
@@ -230,7 +227,7 @@ class ConnSearch:
             self.blocked = True
             return None
         self.copies[clause.label] += 1
-        cp, litmap = copy_clause(clause, self.copy_counter)
+        cp, litmap = copy_clause(clause)
         slots = clause.parent.clauses
         ix = next(i for i, c in enumerate(slots) if c is clause)
         slots[ix] = cp
@@ -271,7 +268,8 @@ class ConnSearch:
             return
 
         lit = element
-        if self.regularity and any(self._sigma_equal(lit, p) for p in path):
+        # regularity: no literal repeats on the path
+        if any(self._sigma_equal(lit, p) for p in path):
             return
 
         # reduction against the path
@@ -339,7 +337,6 @@ class ConnSearch:
 def prove_conn(
     f: Formula,
     timeout: Optional[float] = None,
-    regularity: bool = True,
 ) -> ProverResult:
     """Connection proof search with iterative deepening.
 
@@ -354,7 +351,7 @@ def prove_conn(
     sat_cache: dict = {}  # a signature's satisfiability holds in every round
 
     def run_round(limit):
-        search = ConnSearch(matrix, limit, deadline, regularity, sat_cache)
+        search = ConnSearch(matrix, limit, deadline, sat_cache)
         return search, next(search.run(), None)
 
     return deepen(run_round, deadline, lambda proof: len(proof.connections))

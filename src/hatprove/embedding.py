@@ -19,11 +19,6 @@ from .frontend import conjoin
 from .terms import Atom, Exists, Forall, Formula, Imp, Neg, Or, fresh_var, signature
 
 
-def signature_of(f: Formula) -> list:
-    """Predicate symbols with arities, in first-occurrence order."""
-    return signature(f)[0]
-
-
 def _literal(pred: str, arity: int, negated: bool):
     xs = tuple(fresh_var(f"X{i + 1}") for i in range(arity))
     atom = Atom(pred, xs)
@@ -79,7 +74,7 @@ def sqht_instances(sig: Iterable) -> list:
 
 
 def ht_axioms(f: Formula) -> list:
-    sig = signature_of(f)
+    sig = signature(f)[0]  # predicate symbols with arities
     return hos_instances(sig) + sqht_instances(sig)
 
 

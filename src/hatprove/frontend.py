@@ -37,6 +37,7 @@ from .terms import (
     QUANT,
     Term,
     Var,
+    formula_str,
     fresh_var,
     signature,
     subformulas,
@@ -536,38 +537,7 @@ def add_equality_axioms(f: Formula) -> Formula:
 def to_native(f: Formula) -> str:
     """Print a formula in the native syntax; parseable back."""
     names = _display_names(f)
-
-    def pt(t: Term) -> str:
-        if isinstance(t, Var):
-            return names[t.id]
-        if not t.args:
-            return t.sym
-        return f"{t.sym}({','.join(pt(a) for a in t.args)})"
-
-    def go(g: Formula) -> str:
-        if isinstance(g, Atom):
-            if g.pred == EQ and len(g.args) == 2:
-                return f"{pt(g.args[0])} = {pt(g.args[1])}"
-            if not g.args:
-                return g.pred
-            return f"{g.pred}({','.join(pt(a) for a in g.args)})"
-        if isinstance(g, Neg):
-            return f"~ {go(g.body)}"
-        if isinstance(g, And):
-            return f"({go(g.left)} , {go(g.right)})"
-        if isinstance(g, Or):
-            return f"({go(g.left)} ; {go(g.right)})"
-        if isinstance(g, Imp):
-            return f"({go(g.left)} => {go(g.right)})"
-        if isinstance(g, Iff):
-            return f"({go(g.left)} <=> {go(g.right)})"
-        if isinstance(g, Forall):
-            return f"(all {names[g.var.id]}: {go(g.body)})"
-        if isinstance(g, Exists):
-            return f"(ex {names[g.var.id]}: {go(g.body)})"
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f)
+    return formula_str(f, lambda v: names[v.id])
 
 
 def _display_names(f: Formula) -> dict:

@@ -267,21 +267,32 @@ class ProofNode:
         return count(self)
 
 
-def _freeze(node: ProofNode, bnd: Bindings) -> ProofNode:
+def _freeze(proof: ProofNode, bnd: Bindings) -> ProofNode:
+    """The proof under the current bindings; a node that several
+    premises share is frozen once, so the copy keeps the proof's DAG."""
     rf = bnd.resolve_formula
-    # for free-variable rules the closing substitution decides the witness
-    wit = node.witness if node.witness is not None else node.new_var
-    return ProofNode(
-        left=tuple(rf(f) for f in node.left),
-        right=tuple(rf(f) for f in node.right),
-        rule=node.rule,
-        principal=rf(node.principal) if node.principal is not None else None,
-        children=tuple(_freeze(c, bnd) for c in node.children),
-        closing=tuple(rf(f) for f in node.closing) if node.closing else None,
-        new_var=node.new_var,
-        witness=bnd.resolve_term(wit) if wit is not None else None,
-        instance=rf(node.instance) if node.instance is not None else None,
-    )
+    frozen: dict = {}  # id of a proof node -> its frozen copy
+
+    def freeze(node: ProofNode) -> ProofNode:
+        out = frozen.get(id(node))
+        if out is not None:
+            return out
+        # for free-variable rules the closing substitution decides the witness
+        wit = node.witness if node.witness is not None else node.new_var
+        out = frozen[id(node)] = ProofNode(
+            left=tuple(rf(f) for f in node.left),
+            right=tuple(rf(f) for f in node.right),
+            rule=node.rule,
+            principal=rf(node.principal) if node.principal is not None else None,
+            children=tuple(map(freeze, node.children)),
+            closing=tuple(rf(f) for f in node.closing) if node.closing else None,
+            new_var=node.new_var,
+            witness=bnd.resolve_term(wit) if wit is not None else None,
+            instance=rf(node.instance) if node.instance is not None else None,
+        )
+        return out
+
+    return freeze(proof)
 
 
 def _ground_axiom(left: tuple, right: tuple) -> Optional[ProofNode]:

@@ -78,11 +78,6 @@ class LJSearch:
                 return [f] + items[:i] + items[i + 1 :]
         return [f] + items
 
-    def _extend(self, items: list, adds) -> list:
-        for f in adds:
-            items = self._insert(items, f)
-        return items
-
     def _key(self, left: list, right: Optional[Formula]):
         rf = self.bnd.resolve_formula
         return (frozenset(rf(f) for f in left), rf(right) if right is not None else None)
@@ -117,7 +112,7 @@ class LJSearch:
         for idx, f in enumerate(left):
             rest = left[:idx] + left[idx + 1 :]
             if isinstance(f, And):
-                premise = self._extend(rest, [f.right, f.left])
+                premise = self._insert(self._insert(rest, f.right), f.left)
                 for used in self.prove(premise, right, "l" + pos, freev, hist):
                     yield used | {id(f)}
                 return

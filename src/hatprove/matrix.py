@@ -109,7 +109,6 @@ class MatLit:
 @dataclass(eq=False)
 class MatClause:
     label: int
-    copy_ix: int
     elements: list
     parent: "MatMatrix" = field(default=None, repr=False)
     rename_tvars: frozenset = frozenset()  # Var ids a copy renames
@@ -279,7 +278,7 @@ class MatrixBuilder:
 
     def _clause(self, elements) -> MatClause:
         self.label_count += 1
-        clause = MatClause(self.label_count, 0, list(elements))
+        clause = MatClause(self.label_count, list(elements))
         for e in clause.elements:
             _set_parent(e, clause)
         return clause
@@ -370,7 +369,7 @@ def _compute_renameable(root: MatMatrix) -> None:
 # ============================================================
 
 
-def copy_clause(clause: MatClause, copy_counter) -> tuple:
+def copy_clause(clause: MatClause) -> tuple:
     """Fresh copy renaming the clause's renameable variables.
 
     Returns (copy, literal map from original to copied literals).
@@ -410,7 +409,7 @@ def copy_clause(clause: MatClause, copy_counter) -> tuple:
             litmap[id(node)] = lit
             return lit
         if isinstance(node, MatClause):
-            c = MatClause(node.label, next(copy_counter), [])
+            c = MatClause(node.label, [])
             c.elements = [cp(e, c) for e in node.elements]
             for e in c.elements:
                 if isinstance(e, MatMatrix):

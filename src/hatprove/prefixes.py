@@ -199,10 +199,9 @@ def resolved_string(prefix, pb: Bindings, tb: Bindings) -> tuple:
     return tuple(rsym(s) for s in expand(prefix, pb))
 
 
-def solution_signature(constraints, pb: Bindings, tb: Optional[Bindings] = None):
+def solution_signature(constraints, pb: Bindings, tb: Bindings):
     """Canonical form of the current bindings, restricted to the
     variables of the given constraints, values fully expanded."""
-    tb = tb if tb is not None else Bindings()
     vids = {}
     for p1, p2 in constraints:
         for v in leaves(tuple(p1) + tuple(p2)):
@@ -251,8 +250,8 @@ def constraints_signature(constraints, pb: Bindings, tb: Bindings):
 
 def prefix_unify(
     constraints,
-    pb: Optional[Bindings] = None,
-    tb: Optional[Bindings] = None,
+    pb: Bindings,
+    tb: Bindings,
     deadline: Optional[float] = None,
 ) -> Iterator[Bindings]:
     """Enumerate prefix substitutions equalizing every constraint pair.
@@ -263,8 +262,6 @@ def prefix_unify(
     `SearchTimeout` once `deadline` (a `time.monotonic()` value) has
     passed.
     """
-    pb = pb if pb is not None else Bindings()
-    tb = tb if tb is not None else Bindings()
     pairs = [(tuple(p1), tuple(p2)) for p1, p2 in constraints]
     seen = set()
     for _ in _solve(pairs, pb, tb, deadline=deadline):

@@ -43,7 +43,6 @@ class RunConfig:
     timeout: float = 10.0
     fmt: str = "tptp"
     axiom_root: Optional[str] = None
-    regularity: bool = True
 
 
 @dataclass
@@ -53,7 +52,6 @@ class RunResult:
     status: str
     seconds: float
     rounds: int = 0
-    rule_apps: int = 0
     message: str = ""
     countermodel: str = ""  # the checked model behind a Non-Theorem, as text
 
@@ -75,7 +73,7 @@ def _engine(goal, cfg: RunConfig, start: float):
         return prove_lht(goal, timeout=timeout)
     if engine == "lj":
         return prove_lj(goal, timeout=timeout)
-    return prove_conn(goal, timeout=timeout, regularity=cfg.regularity)
+    return prove_conn(goal, timeout=timeout)
 
 
 def load_goal(path, fmt: str, axiom_root=None):
@@ -113,7 +111,6 @@ def run_problem(path, cfg: RunConfig) -> RunResult:
         status,
         time.monotonic() - start,
         rounds=result.rounds,
-        rule_apps=result.rule_apps,
         countermodel="" if result.countermodel is None else str(result.countermodel),
     )
 
@@ -195,13 +192,8 @@ def run_suite(paths, cfg: RunConfig, jobs: int = 1) -> Report:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_one, [(str(p), cfg) for p in problems]))
+            rows = list(pool.map(run_problem, problems, [cfg] * len(problems)))
     else:
         rows = [run_problem(p, cfg) for p in problems]
     report.rows = sorted(rows, key=lambda r: r.problem)
     return report
-
-
-def _run_one(item):
-    path, cfg = item
-    return run_problem(path, cfg)

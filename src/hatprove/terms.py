@@ -6,10 +6,12 @@ identity is an integer id; the name is a display hint only.
 
 Every structural walk over a formula lives here, and other modules do
 not walk formula structure themselves; they split on a formula's shape
-only to apply a rule, build a matrix, evaluate or print.  The walkers
-`subformulas` (pre-order), `signature` and `free_vars` keep an explicit
-stack, so formula depth is bounded by memory, not by the recursion
-limit; `formula_size` and `is_ground` read `subformulas`.  The one
+only to apply a rule, build a matrix or evaluate.  The walkers
+`subformulas` (pre-order), `signature` and `free_vars` and the one
+printer `formula_str`, which `str` of every formula and `Fun` and
+`frontend.to_native` call, keep an explicit stack, so formula depth is
+bounded by memory, not by the recursion limit; `formula_size` and
+`is_ground` read `subformulas`.  The one
 rebuild, `map_terms`, maps the arguments of every atom and the binder
 of every quantifier and shares each part in which nothing changes;
 `substitute`, `fresh_copy` and `Bindings.resolve_formula` run on it.
@@ -54,11 +56,6 @@ class Var:
 class Fun:
     sym: str
     args: tuple = ()
-
-    def __str__(self):
-        if not self.args:
-            return self.sym
-        return f"{self.sym}({','.join(str(a) for a in self.args)})"
 
 
 Term = Union[Var, Fun]
@@ -123,21 +120,11 @@ class Atom(Formula):
     pred: str
     args: tuple = ()
 
-    def __str__(self):
-        if not self.args:
-            return self.pred
-        if self.pred == "=" and len(self.args) == 2:
-            return f"{self.args[0]} = {self.args[1]}"
-        return f"{self.pred}({','.join(str(a) for a in self.args)})"
-
 
 @_formula
 class And(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return f"({self.left} , {self.right})"
 
 
 @_formula
@@ -145,17 +132,11 @@ class Or(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"({self.left} ; {self.right})"
-
 
 @_formula
 class Imp(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return f"({self.left} => {self.right})"
 
 
 @_formula
@@ -163,16 +144,10 @@ class Iff(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"({self.left} <=> {self.right})"
-
 
 @_formula
 class Neg(Formula):
     body: Formula
-
-    def __str__(self):
-        return f"~ {self.body}"
 
 
 @_formula
@@ -180,17 +155,11 @@ class Forall(Formula):
     var: Var
     body: Formula
 
-    def __str__(self):
-        return f"(all {self.var}: {self.body})"
-
 
 @_formula
 class Exists(Formula):
     var: Var
     body: Formula
-
-    def __str__(self):
-        return f"(ex {self.var}: {self.body})"
 
 
 BINARY = (And, Or, Imp, Iff)
@@ -205,6 +174,53 @@ def unfold_iff(a: Formula, b: Formula) -> Formula:
 def is_literal(f: Formula) -> bool:
     """Atom or negated atom."""
     return isinstance(f, Atom) or (isinstance(f, Neg) and isinstance(f.body, Atom))
+
+
+# ============================================================
+# Printing
+# ============================================================
+
+_INFIX = {And: " , ", Or: " ; ", Imp: " => ", Iff: " <=> "}
+_BINDER = {Forall: "(all ", Exists: "(ex "}
+
+
+def formula_str(x, var_name=Var.__str__) -> str:
+    """A formula or term on one line in the native syntax, as in
+    `(all X: (p(X) => q(f(X),c)))`, with each variable printed as
+    `var_name(variable)`; any other leaf prints as `str` shows it."""
+    out = []
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is str:
+            out.append(x)
+        elif t is Var:
+            out.append(var_name(x))
+        elif t in _INFIX:
+            out.append("(")
+            stack += (")", x.right, _INFIX[t], x.left)
+        elif t is Neg:
+            out.append("~ ")
+            stack.append(x.body)
+        elif t in _BINDER:
+            out += (_BINDER[t], var_name(x.var), ": ")
+            stack += (")", x.body)
+        elif t is Atom and x.pred == "=" and len(x.args) == 2:
+            stack += (x.args[1], " = ", x.args[0])
+        elif t is Atom or t is Fun:
+            out.append(x.pred if t is Atom else x.sym)
+            if x.args:
+                out.append("(")
+                args = [y for a in x.args for y in (",", a)][1:]
+                stack += (")", *reversed(args))
+        else:
+            out.append(str(x))
+    return "".join(out)
+
+
+for _cls in (Fun, Atom, Neg, *BINARY, *QUANT):
+    _cls.__str__ = formula_str
 
 
 # ============================================================

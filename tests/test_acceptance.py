@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from hatprove.connection import prove_conn
-from hatprove.embedding import embed, hos_instances, ht_axioms, signature_of, sqht_instances
+from hatprove.embedding import embed, hos_instances, ht_axioms, sqht_instances
 from hatprove.frontend import parse_native_formula
 from hatprove.lht import prove_lht
 from hatprove.lj import prove_lj

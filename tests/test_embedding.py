@@ -1,8 +1,8 @@
-from hatprove.embedding import embed, hos_instances, ht_axioms, signature_of, sqht_instances
+from hatprove.embedding import embed, hos_instances, ht_axioms, sqht_instances
 from hatprove.frontend import parse_native_formula, to_native
 from hatprove.lj import prove_lj
 from hatprove.oracle import ht_valid_prop
-from hatprove.terms import Atom, Exists, Forall, Imp, Neg, Or, free_vars
+from hatprove.terms import Atom, Exists, Forall, Imp, Neg, Or, free_vars, signature
 from hatprove.verdicts import Verdict
 
 p, q = Atom("p"), Atom("q")
@@ -11,14 +11,14 @@ F2 = parse_native_formula("ex Y: all X: (p(Y) => p(X))", close=True)
 
 
 def test_signatures():
-    assert signature_of(F1) == [("p", 0), ("q", 0)]
-    assert signature_of(F2) == [("p", 1)]
+    assert signature(F1)[0] == [("p", 0), ("q", 0)]
+    assert signature(F2)[0] == [("p", 1)]
     f = parse_native_formula("p(a,b) , q")
-    assert signature_of(f) == [("p", 2), ("q", 0)]
+    assert signature(f)[0] == [("p", 2), ("q", 0)]
 
 
 def test_hos_count_for_two_propositions():
-    assert len(hos_instances(signature_of(F1))) == 6
+    assert len(hos_instances(signature(F1)[0])) == 6
 
 
 def test_hos_single_unary_predicate():
@@ -49,7 +49,7 @@ def test_sqht_unary():
 
 
 def test_sqht_empty_for_propositions():
-    assert sqht_instances(signature_of(F1)) == []
+    assert sqht_instances(signature(F1)[0]) == []
 
 
 def test_sqht_binary_predicate():

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from hatprove.embedding import signature_of
 from hatprove.frontend import (
     ParseError,
     add_equality_axioms,
@@ -22,6 +21,7 @@ from hatprove.terms import (
     Neg,
     Or,
     alpha_equal,
+    signature,
 )
 from hatprove.verdicts import Verdict
 from support import random_formula
@@ -153,6 +153,14 @@ def test_native_round_trip():
         f = random_formula(rng, rng.randint(1, 9))
         g = parse_native_formula(to_native(f))
         assert alpha_equal(f, g, free_bijection=True), (f, g)
+    # the printer keeps an explicit stack: formulas far deeper than the
+    # recursion limit print (the parser still recurses, so no round trip)
+    neg, conj = Atom("p"), Atom("p5000")
+    for i in reversed(range(5000)):
+        neg, conj = Neg(neg), And(Atom(f"p{i}"), conj)
+    assert str(neg) == to_native(neg) == "~ " * 5000 + "p"
+    text = " , ".join(f"(p{i}" for i in range(5000)) + " , p5000" + ")" * 5000
+    assert str(conj) == to_native(conj) == text
 
 
 def test_native_round_trip_quantified():
@@ -195,7 +203,7 @@ def test_assemble_empty_problem():
 def test_assemble_preserves_predicates():
     prob = parse_problem("fof(a,axiom,p). fof(b,axiom,q(a)). fof(c,conjecture,r).")
     goal = assemble_goal(prob)
-    assert signature_of(goal) == [("p", 0), ("q", 1), ("r", 0)]
+    assert signature(goal)[0] == [("p", 0), ("q", 1), ("r", 0)]
 
 
 # ============================================================

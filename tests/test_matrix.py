@@ -93,7 +93,7 @@ def test_walkers_do_not_recurse():
     lits = []
     for i in range(depth):
         lit = MatLit("p", (), i % 2, ())
-        clause = MatClause(i + 1, 0, [lit])
+        clause = MatClause(i + 1, [lit])
         lit.clause = clause
         clause.parent = inner
         inner.clauses.append(clause)
@@ -117,7 +117,7 @@ def test_repr_shows_only_the_node_subtree():
     inner = MatMatrix([])
     for i in range(10_000):
         lit = MatLit("p", (), i % 2, ())
-        clause = MatClause(i + 1, 0, [lit], inner)
+        clause = MatClause(i + 1, [lit], inner)
         lit.clause = clause
         inner.clauses.append(clause)
         inner = MatMatrix([], clause)
@@ -147,7 +147,7 @@ def test_copy_renames_consistently():
     f = parse_native_formula("all X: (p(X) => q(X))", close=True)
     m = build_matrix(f)
     clause = m.clauses[0]
-    cp, litmap = copy_clause(clause, itertools.count(1))
+    cp, litmap = copy_clause(clause)
     orig_lits = list(iter_literals(clause))
     new_lits = list(iter_literals(cp))
     assert len(orig_lits) == len(new_lits)

@@ -47,6 +47,14 @@ def test_shared_nodes_print_and_compare_once():
     assert text.count("=ProofNode(") == 6630 and re.search(r"#\d+#", text)
     frozen = _freeze(proof, search.bnd)
     assert frozen is not proof and frozen == proof
+    # freezing keeps the DAG: each shared node is frozen once
+    seen, stack = set(), [frozen]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    assert len(seen) == 6630
     # a copy with one changed leaf shares every other node with the proof
     path = [proof]
     while path[-1].children:

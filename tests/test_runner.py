@@ -321,13 +321,14 @@ def test_cli_backend_flags(tmp_path, capsys):
 
 def test_cli_conn_flags(tmp_path, capsys):
     path = write(tmp_path, "f3.p", "fof(c, conjecture, p => p).")
-    code = main([str(path), "--backend", "conn", "--no-reg", "--timeout", "5"])
+    code = main([str(path), "--backend", "conn", "--timeout", "5"])
     assert code == 0
     assert "Theorem" in capsys.readouterr().out
-    # the connection prover has one configuration; --no-rb is gone
-    with pytest.raises(SystemExit) as exc:
-        main([str(path), "--backend", "conn", "--no-rb"])
-    assert exc.value.code == 2
+    # the connection prover has one configuration; --no-rb and --no-reg are gone
+    for flag in ("--no-rb", "--no-reg"):
+        with pytest.raises(SystemExit) as exc:
+            main([str(path), "--backend", "conn", flag])
+        assert exc.value.code == 2
 
 
 def test_usage_text_names_the_parser_options():
