@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .matrix import (
@@ -80,9 +80,7 @@ class Connection:
 
 @dataclass
 class ConnProof:
-    start_label: int
-    connections: list = field(default_factory=list)
-    copies_used: int = 0
+    connections: list
 
 
 class ConnSearch:
@@ -218,7 +216,7 @@ class ConnSearch:
             for _ in self._activate(start, ()):
                 pairs = [(p1, p2) for p1, p2, _ in self.constraints]
                 for _ in prefix_unify(pairs, self.pb, self.tb, self.deadline):
-                    yield self._snapshot(start.label)
+                    yield self._snapshot()
 
     def _place_copy(self, clause: MatClause) -> Optional[tuple]:
         """Put a fresh copy of clause in its parent's slot: (copy, literal
@@ -315,7 +313,7 @@ class ConnSearch:
             finally:
                 self._remove_copy(c1, ix)
 
-    def _snapshot(self, start_label: int) -> ConnProof:
+    def _snapshot(self) -> ConnProof:
         conns = [
             Connection(
                 a.pred,
@@ -326,7 +324,7 @@ class ConnSearch:
             )
             for a, b in self.connections
         ]
-        return ConnProof(start_label, conns, sum(self.copies.values()))
+        return ConnProof(conns)
 
 
 # ============================================================

@@ -1,14 +1,23 @@
 """Problem parsing and goal assembly.
 
-Two input formats:
+Two input formats, read by one reader:
 
 * TPTP fof: `fof(name, role, formula).` with roles axiom, hypothesis,
   lemma (premises) and conjecture; `include('file')` directives are
-  resolved against an axiom root directory.
+  read in place, resolved against an axiom root directory.  `&` and
+  `|` chain to the left and do not mix; `=>` `<=` `<=>` `<~>` `~|`
+  `~&` take a unit on their left and a formula on their right; `~`,
+  `![X,...]:` and `?[X,...]:` take a unit; atoms include `=` and `!=`.
 * native: the compact prover syntax with `,` `;` `~` `=>` `<=>` and
   quantifiers `all X:` / `ex X:`.  Precedence (strongest first) is
-  `~` `,` `;` `=>` `<=>`; a quantifier's scope extends as far right as
-  possible and `=>` associates to the right.
+  `~` `,` `;` `=>` `<=>`; binary connectives associate to the right,
+  and a quantifier's scope extends as far right as possible.
+
+`_Parser.formula` is one precedence loop on an explicit stack, driven
+by a table of binary connectives per syntax, and terms are read with
+an explicit stack too, so input depth is bounded by memory, not by the
+recursion limit.  Every predicate and function symbol, constants
+included, keeps one arity.
 
 Formulas are rectified while parsing: every quantifier binds a fresh
 variable, and a name always refers to the innermost enclosing binder.
@@ -20,8 +29,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .terms import (
     And,
@@ -103,13 +113,73 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Tokens:
-    def __init__(self, text: str):
+# ============================================================
+# Syntax tables
+# ============================================================
+
+
+class _Conn(NamedTuple):
+    """A binary connective.  It applies where the operand being read may
+    contain connectives of its `power`.  Its right operand may contain
+    connectives of its own power, so it associates to the right, unless
+    it `chains`: then the right operand is read one power higher and the
+    chain grows to the left."""
+
+    power: int
+    chains: bool
+    build: Callable[[Formula, Formula], Formula]
+
+
+class _Syntax(NamedTuple):
+    binary: dict  # token -> _Conn
+    quantifiers: dict  # token -> Forall or Exists
+    var_list: bool  # a quantifier binds a bracketed list of variables
+    scope: int  # the power a quantifier's operand is read at
+    equalities: tuple  # `=`, and `!=` for a negated equality
+
+
+# Above every power: an operand read at it is a unit, with no binary
+# connective outside parentheses.
+_UNIT = 10
+
+_NATIVE = _Syntax(
+    {",": _Conn(4, False, And), ";": _Conn(3, False, Or),
+     "=>": _Conn(2, False, Imp), "<=>": _Conn(1, False, Iff)},
+    {"all": Forall, "ex": Exists}, False, 0, ("=",),
+)
+
+# One power for all: a connective's left operand is then a unit or, for
+# `&` and `|`, a chain of the same connective.
+_TPTP = _Syntax(
+    {"&": _Conn(1, True, And), "|": _Conn(1, True, Or),
+     "=>": _Conn(1, False, Imp), "<=": _Conn(1, False, lambda a, b: Imp(b, a)),
+     "<=>": _Conn(1, False, Iff), "<~>": _Conn(1, False, lambda a, b: Neg(Iff(a, b))),
+     "~|": _Conn(1, False, lambda a, b: Neg(Or(a, b))),
+     "~&": _Conn(1, False, lambda a, b: Neg(And(a, b)))},
+    {"!": Forall, "?": Exists}, True, _UNIT, ("=", "!="),
+)
+
+_SYNTAXES = {"native": _NATIVE, "tptp": _TPTP}
+
+
+# ============================================================
+# Reader
+# ============================================================
+
+
+class _Parser:
+    """The reader of both syntaxes: tokens, the variables in scope, the
+    arities seen so far and whether an equality occurred."""
+
+    def __init__(self, text: str, syntax: _Syntax):
         self.toks = _tokenize(text)
         self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
+        self.syntax = syntax
+        self.bound: dict[str, list[Var]] = {}  # name -> binders, innermost last
+        self.free: dict[str, Var] = {}
+        self.pred_arity: dict[str, int] = {}
+        self.fun_arity: dict[str, int] = {}
+        self.uses_equality = False
 
     def next(self):
         t = self.toks[self.i]
@@ -117,81 +187,159 @@ class _Tokens:
             self.i += 1
         return t
 
+    def at(self, value: str) -> bool:
+        return self.toks[self.i][1] == value
+
     def expect(self, value: str):
         kind, val, line, col = self.next()
         if val != value:
             raise ParseError(f"expected {value!r}, found {val!r}", line, col)
 
-    def at(self, value: str) -> bool:
-        return self.peek()[1] == value
-
-    def error(self, msg: str):
-        _, val, line, col = self.peek()
-        raise ParseError(f"{msg} (found {val!r})", line, col)
-
-
-# ============================================================
-# Shared parser state
-# ============================================================
-
-
-class _Parser:
-    """Scopes, signature checks and the term syntax of both grammars."""
-
-    def __init__(self, tokens: _Tokens):
-        self.t = tokens
-        self.scopes: list[dict[str, Var]] = []
-        self.free: dict[str, Var] = {}
-        self.pred_arity: dict[str, int] = {}
-        self.fun_arity: dict[str, int] = {}
-
-    def push_var(self, name: str) -> Var:
-        v = fresh_var(name)
-        self.scopes.append({name: v})
-        return v
-
-    def pop_var(self):
-        self.scopes.pop()
-
     def lookup_var(self, name: str) -> Var:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
+        binders = self.bound.get(name)
+        if binders:
+            return binders[-1]
         if name not in self.free:
             self.free[name] = fresh_var(name)
         return self.free[name]
 
-    def check_arity(self, table: dict, sym: str, n: int, what: str):
+    def check_arity(self, table: dict, sym: str, n: int, what: str, line: int, col: int):
         old = table.setdefault(sym, n)
         if old != n:
-            line, col = self.t.peek()[2], self.t.peek()[3]
-            raise ParseError(
-                f"arity clash for {what} {sym!r}: used with {old} and {n} arguments",
-                line,
-                col,
-            )
+            msg = f"arity clash for {what} {sym!r}: used with {old} and {n} arguments"
+            raise ParseError(msg, line, col)
 
-    def term(self) -> Term:
-        kind, val, line, col = self.t.next()
-        if kind == "var":
-            return self.lookup_var(val)
-        if kind == "num":
-            return Fun(val, ())
-        if kind != "name":
-            raise ParseError(f"expected a term, found {val!r}", line, col)
-        sym = val.strip("'")
-        args = ()
-        if self.t.at("("):
-            self.t.next()
-            parts = [self.term()]
-            while self.t.at(","):
-                self.t.next()
-                parts.append(self.term())
-            self.t.expect(")")
-            args = tuple(parts)
-        if args:
-            self.check_arity(self.fun_arity, sym, len(args), "function")
-        return Fun(sym, args)
+    def formula(self) -> Formula:
+        """Read one formula with a precedence loop on an explicit stack.
+
+        `~`, a quantifier, `(` and a binary connective with its left
+        operand each open a frame, which keeps the power of the operand
+        around it and the function that closes it.  A connective applies
+        if the current operand may contain its power and its left
+        operand is a unit, has a main connective that binds tighter, or,
+        for a chaining connective, is a chain of it; where none applies,
+        the top frame closes.
+        """
+        binary = self.syntax.binary
+        toks = self.toks
+        stack = []  # (power outside the frame, close, main connective or None)
+        power = 0
+        while True:
+            val = toks[self.i][1]
+            if val == "~":
+                self.i += 1
+                stack.append((power, Neg, None))
+                power = _UNIT
+            elif val == "(":
+                self.i += 1
+                stack.append((power, self.close_paren, None))
+                power = 0
+            elif val in self.syntax.quantifiers:
+                stack.append((power, self.quantifier(), None))
+                power = self.syntax.scope
+            else:
+                f = self.atom()
+                main = None  # the main connective of f; None for a unit
+                while True:
+                    conn = binary.get(toks[self.i][1])
+                    if (
+                        conn is not None
+                        and conn.power >= power
+                        and (main is None or main.power > conn.power or (main is conn and conn.chains))
+                    ):
+                        self.i += 1
+                        stack.append((power, partial(conn.build, f), conn))
+                        power = conn.power + conn.chains
+                        break
+                    if not stack:
+                        return f
+                    power, close, main = stack.pop()
+                    f = close(f)
+
+    def close_paren(self, f: Formula) -> Formula:
+        self.expect(")")
+        return f
+
+    def quantifier(self) -> Callable[[Formula], Formula]:
+        """Read a quantifier and the variables it binds, which stay in
+        scope until the returned function closes its frame."""
+        quant = self.next()[1]
+        cls = self.syntax.quantifiers[quant]
+        var_list = self.syntax.var_list
+        if var_list:
+            self.expect("[")
+        vs = []
+        while True:
+            kind, name, line, col = self.next()
+            if kind != "var":
+                raise ParseError(f"expected a variable after {quant!r}", line, col)
+            vs.append(fresh_var(name))
+            if not (var_list and self.at(",")):
+                break
+            self.i += 1
+        if var_list:
+            self.expect("]")
+        self.expect(":")
+        for v in vs:
+            self.bound.setdefault(v.name, []).append(v)
+
+        def close(f: Formula) -> Formula:
+            for v in reversed(vs):
+                self.bound[v.name].pop()
+                f = cls(v, f)
+            return f
+
+        return close
+
+    def atom(self) -> Formula:
+        kind, val, line, col = self.toks[self.i]
+        if kind not in ("name", "var", "num"):
+            raise ParseError(f"expected an atom (found {val!r})", line, col)
+        left = self.term(head=False)
+        eq = self.toks[self.i][1]
+        if eq in self.syntax.equalities:
+            self.i += 1
+            if type(left) is Fun:
+                self.check_arity(self.fun_arity, left.sym, len(left.args), "function", line, col)
+            self.uses_equality = True
+            f = Atom(EQ, (left, self.term()))
+            return Neg(f) if eq == "!=" else f
+        if type(left) is Var:
+            raise ParseError("a variable is not a formula", line, col)
+        self.check_arity(self.pred_arity, left.sym, len(left.args), "predicate", line, col)
+        return Atom(left.sym, left.args)
+
+    def term(self, head: bool = True) -> Term:
+        """Read a term with an explicit stack of open argument lists and
+        check the arity of each function symbol in it, of the outermost
+        one only if `head`."""
+        stack = []  # (symbol, line, column, arguments so far)
+        while True:
+            kind, val, line, col = self.next()
+            if kind == "var":
+                t = self.lookup_var(val)
+            elif kind == "name" and self.at("("):
+                self.i += 1
+                stack.append((val.strip("'"), line, col, []))
+                continue
+            elif kind == "name" or kind == "num":
+                t = Fun(val.strip("'"), ())
+            else:
+                raise ParseError(f"expected a term, found {val!r}", line, col)
+            # t is complete: add it to its argument list and close each
+            # list it completes
+            while True:
+                if type(t) is Fun and (head or stack):
+                    self.check_arity(self.fun_arity, t.sym, len(t.args), "function", line, col)
+                if not stack:
+                    return t
+                stack[-1][3].append(t)
+                if self.at(","):
+                    self.i += 1
+                    break
+                self.expect(")")
+                sym, line, col, args = stack.pop()
+                t = Fun(sym, tuple(args))
 
     def close_free(self, f: Formula) -> Formula:
         """Universally close the free variable names of the last formula."""
@@ -200,231 +348,66 @@ class _Parser:
         self.free = {}
         return f
 
+    def sole_formula(self, close: bool) -> Formula:
+        """The input as one formula, universally closed if `close`."""
+        f = self.formula()
+        kind, val, line, col = self.toks[self.i]
+        if kind != "eof":
+            raise ParseError(f"trailing input after formula (found {val!r})", line, col)
+        return self.close_free(f) if close else f
 
-# ============================================================
-# Native syntax
-# ============================================================
-
-
-class _NativeParser(_Parser):
-    def formula(self) -> Formula:
-        if self.t.at("all") or self.t.at("ex"):
-            return self.quantified()
-        return self.iff_level()
-
-    def quantified(self) -> Formula:
-        kind, val, line, col = self.t.next()
-        cls = Forall if val == "all" else Exists
-        vkind, vname, vline, vcol = self.t.next()
-        if vkind != "var":
-            raise ParseError(f"expected a variable after {val!r}", vline, vcol)
-        v = self.push_var(vname)
-        self.t.expect(":")
-        body = self.formula()
-        self.pop_var()
-        return cls(v, body)
-
-    def iff_level(self) -> Formula:
-        left = self.imp_level()
-        if self.t.at("<=>"):
-            self.t.next()
-            return Iff(left, self.iff_level())
-        return left
-
-    def imp_level(self) -> Formula:
-        left = self.or_level()
-        if self.t.at("=>"):
-            self.t.next()
-            return Imp(left, self.imp_level())
-        return left
-
-    def or_level(self) -> Formula:
-        left = self.and_level()
-        if self.t.at(";"):
-            self.t.next()
-            return Or(left, self.or_level())
-        return left
-
-    def and_level(self) -> Formula:
-        left = self.unary()
-        if self.t.at(","):
-            self.t.next()
-            return And(left, self.and_level())
-        return left
-
-    def unary(self) -> Formula:
-        if self.t.at("~"):
-            self.t.next()
-            return Neg(self.unary())
-        if self.t.at("("):
-            self.t.next()
-            f = self.formula()
-            self.t.expect(")")
-            return f
-        if self.t.at("all") or self.t.at("ex"):
-            return self.quantified()
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, val, line, col = self.t.peek()
-        if kind in ("name", "var", "num"):
-            left = self.term()
-            if self.t.at("="):
-                self.t.next()
-                right = self.term()
-                return Atom(EQ, (left, right))
-            if isinstance(left, Fun):
-                self.check_arity(self.pred_arity, left.sym, len(left.args), "predicate")
-                return Atom(left.sym, left.args)
-            raise ParseError("a variable is not a formula", line, col)
-        self.t.error("expected an atom")
+    def tptp_units(self, prob: Problem, axiom_root: Optional[Path]):
+        """Read `fof` and `include` units into `prob`.  An included file
+        is read in place, by this parser, so arities and equality are
+        checked across files."""
+        outer = []  # (resolved path, tokens, position) per open include
+        while True:
+            kind, val, line, col = self.next()
+            if val == "fof":
+                self.expect("(")
+                self.next()  # the name
+                self.expect(",")
+                _, role, line, col = self.next()
+                self.expect(",")
+                f = self.close_free(self.formula())
+                self.expect(")")
+                self.expect(".")
+                if role == "conjecture":
+                    if prob.conjecture is not None:
+                        raise ParseError("more than one conjecture")
+                    prob.conjecture = f
+                elif role in ("axiom", "hypothesis", "lemma"):
+                    prob.axioms.append(f)
+                else:
+                    raise ParseError(f"unsupported role {role!r}", line, col)
+            elif val == "include":
+                self.expect("(")
+                _, rel, line, col = self.next()
+                self.expect(")")
+                self.expect(".")
+                rel = rel.strip("'")
+                if axiom_root is None:
+                    raise ParseError(f"include({rel!r}) found but no axiom root configured", line, col)
+                path = axiom_root / rel
+                try:
+                    text = path.read_text(encoding="utf-8")
+                except OSError as exc:
+                    raise ParseError(f"cannot read include {str(path)!r}: {exc}", line, col)
+                key = path.resolve()
+                if key in [o[0] for o in outer]:
+                    raise ParseError(f"include {str(path)!r} includes itself", line, col)
+                outer.append((key, self.toks, self.i))
+                self.toks, self.i = _tokenize(text), 0
+            elif kind == "eof":
+                if not outer:
+                    return
+                _, self.toks, self.i = outer.pop()
+            else:
+                raise ParseError(f"expected fof or include, found {val!r}", line, col)
 
 
 def parse_native_formula(text: str, close: bool = False) -> Formula:
-    p = _NativeParser(_Tokens(text))
-    f = p.formula()
-    if not p.t.at(""):
-        p.t.error("trailing input after formula")
-    return p.close_free(f) if close else f
-
-
-# ============================================================
-# TPTP fof syntax
-# ============================================================
-
-_PREMISE_ROLES = ("axiom", "hypothesis", "lemma")
-
-
-class _TptpParser(_Parser):
-    def __init__(self, tokens: _Tokens, axiom_root: Optional[Path]):
-        super().__init__(tokens)
-        self.axiom_root = axiom_root
-        self.entries: list[tuple[str, str, Formula]] = []
-
-    def file(self):
-        while not self.t.at(""):
-            kind, val, line, col = self.t.peek()
-            if val == "fof":
-                self.fof()
-            elif val == "include":
-                self.include()
-            else:
-                raise ParseError(f"expected fof or include, found {val!r}", line, col)
-        return self.entries
-
-    def fof(self):
-        self.t.expect("fof")
-        self.t.expect("(")
-        name = self.t.next()[1].strip("'")
-        self.t.expect(",")
-        _, role, line, col = self.t.next()
-        self.t.expect(",")
-        f = self.formula()
-        f = self.close_free(f)
-        self.t.expect(")")
-        self.t.expect(".")
-        if role not in _PREMISE_ROLES + ("conjecture",):
-            raise ParseError(f"unsupported role {role!r}", line, col)
-        self.entries.append((name, role, f))
-
-    def include(self):
-        self.t.expect("include")
-        self.t.expect("(")
-        kind, val, line, col = self.t.next()
-        self.t.expect(")")
-        self.t.expect(".")
-        rel = val.strip("'")
-        if self.axiom_root is None:
-            raise ParseError(f"include({rel!r}) found but no axiom root configured", line, col)
-        path = self.axiom_root / rel
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot read include {str(path)!r}: {exc}", line, col)
-        sub = _TptpParser(_Tokens(text), self.axiom_root)
-        sub.pred_arity = self.pred_arity
-        sub.fun_arity = self.fun_arity
-        self.entries.extend(sub.file())
-
-    # fof formulas: quantifiers and ~ bind tightest, then & | then => <=>
-
-    def formula(self) -> Formula:
-        left = self.unit()
-        kind, val, line, col = self.t.peek()
-        if val == "&":
-            while self.t.at("&"):
-                self.t.next()
-                left = And(left, self.unit())
-            return left
-        if val == "|":
-            while self.t.at("|"):
-                self.t.next()
-                left = Or(left, self.unit())
-            return left
-        if val == "=>":
-            self.t.next()
-            return Imp(left, self.formula())
-        if val == "<=>":
-            self.t.next()
-            return Iff(left, self.formula())
-        if val == "<=":
-            self.t.next()
-            return Imp(self.formula(), left)
-        if val == "<~>":
-            self.t.next()
-            return Neg(Iff(left, self.formula()))
-        return left
-
-    def unit(self) -> Formula:
-        kind, val, line, col = self.t.peek()
-        if val == "~":
-            self.t.next()
-            return Neg(self.unit())
-        if val in ("!", "?"):
-            self.t.next()
-            cls = Forall if val == "!" else Exists
-            self.t.expect("[")
-            names = []
-            while True:
-                vkind, vname, vline, vcol = self.t.next()
-                if vkind != "var":
-                    raise ParseError("expected a variable in quantifier list", vline, vcol)
-                names.append(vname)
-                if self.t.at(","):
-                    self.t.next()
-                    continue
-                break
-            self.t.expect("]")
-            self.t.expect(":")
-            vs = [self.push_var(n) for n in names]
-            body = self.unit()
-            for _ in names:
-                self.pop_var()
-            for v in reversed(vs):
-                body = cls(v, body)
-            return body
-        if val == "(":
-            self.t.next()
-            f = self.formula()
-            self.t.expect(")")
-            return f
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, val, line, col = self.t.peek()
-        if kind in ("name", "var", "num"):
-            left = self.term()
-            if self.t.at("="):
-                self.t.next()
-                return Atom(EQ, (left, self.term()))
-            if self.t.at("!="):
-                self.t.next()
-                return Neg(Atom(EQ, (left, self.term())))
-            if isinstance(left, Fun):
-                self.check_arity(self.pred_arity, left.sym, len(left.args), "predicate")
-                return Atom(left.sym, left.args)
-            raise ParseError("a variable is not a formula", line, col)
-        self.t.error("expected an atom")
+    return _Parser(text, _NATIVE).sole_formula(close)
 
 
 # ============================================================
@@ -440,28 +423,17 @@ def parse_problem(
     text, fmt: str = "tptp", name: str = "problem", axiom_root=None
 ) -> Problem:
     """Parse a problem file's contents into premises and conjecture."""
+    if fmt not in _SYNTAXES:
+        raise ValueError(f"unknown format {fmt!r}")
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     prob = Problem(name)
+    parser = _Parser(text, _SYNTAXES[fmt])
     if fmt == "native":
-        f = parse_native_formula(text, close=True)
-        prob.conjecture = f
-    elif fmt == "tptp":
-        root = Path(axiom_root) if axiom_root is not None else None
-        parser = _TptpParser(_Tokens(text), root)
-        for entry_name, role, f in parser.file():
-            if role == "conjecture":
-                if prob.conjecture is not None:
-                    raise ParseError("more than one conjecture")
-                prob.conjecture = f
-            else:
-                prob.axioms.append(f)
+        prob.conjecture = parser.sole_formula(close=True)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
-    prob.uses_equality = any(
-        formula_uses_equality(f)
-        for f in prob.axioms + ([prob.conjecture] if prob.conjecture else [])
-    )
+        parser.tptp_units(prob, Path(axiom_root) if axiom_root is not None else None)
+    prob.uses_equality = parser.uses_equality
     return prob
 
 

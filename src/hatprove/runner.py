@@ -86,7 +86,7 @@ def load_goal(path, fmt: str, axiom_root=None):
     root = axiom_root if axiom_root is not None else path.parent
     prob = parse_problem(path.read_bytes(), fmt, name=path.stem, axiom_root=root)
     goal = assemble_goal(prob)
-    # parse_problem has already looked for `=` in every formula
+    # the reader has recorded whether `=` occurs in any formula
     return add_equality_axioms(goal) if prob.uses_equality else goal
 
 

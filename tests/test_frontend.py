@@ -17,14 +17,17 @@ from hatprove.terms import (
     Atom,
     Exists,
     Forall,
+    Fun,
+    Iff,
     Imp,
     Neg,
     Or,
     alpha_equal,
+    con,
     signature,
 )
 from hatprove.verdicts import Verdict
-from support import random_formula
+from support import horn, random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -85,6 +88,24 @@ def test_arity_clash():
         parse_problem("fof(a,axiom,p(a)). fof(c,conjecture,p(a,b)).")
 
 
+def test_arity_clash_checks_constants_at_the_symbol():
+    # a constant is a function of no arguments, and the clash is
+    # reported where the clashing symbol stands
+    with pytest.raises(ParseError, match="arity clash for function 'f'") as e:
+        parse_native_formula("q(f) => q(f(a))")
+    assert (e.value.line, e.value.col) == (1, 11)
+    with pytest.raises(ParseError, match="arity clash for function 'f'") as e:
+        parse_problem("fof(a, axiom, q(f(a))).\nfof(c, conjecture, r(b, f)).")
+    assert (e.value.line, e.value.col) == (2, 25)
+    with pytest.raises(ParseError, match="arity clash for predicate 'q'") as e:
+        parse_native_formula("q(a) , q")
+    assert (e.value.line, e.value.col) == (1, 8)
+    # predicates and functions are checked apart
+    assert parse_native_formula("q , r(q(a))") == And(
+        Atom("q"), Atom("r", (Fun("q", (con("a"),)),))
+    )
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ParseError, match="line"):
         parse_problem("fof(c,conjecture,\n p & ).")
@@ -111,11 +132,62 @@ def test_include_resolution(tmp_path):
     text = "include('base.ax').\nfof(c, conjecture, p)."
     prob = parse_problem(text, axiom_root=tmp_path)
     assert prob.axioms == [p]
+    assert not prob.uses_equality
+
+
+def test_equality_in_included_file(tmp_path):
+    (tmp_path / "eq.ax").write_text("fof(a1, axiom, ![X]: X = X).")
+    (tmp_path / "base.ax").write_text("include('eq.ax'). fof(a2, axiom, q).")
+    text = "include('base.ax').\nfof(c, conjecture, p)."
+    prob = parse_problem(text, axiom_root=tmp_path)
+    assert prob.uses_equality
+    assert prob.axioms[1:] == [q]
+
+
+def test_include_cycle_rejected(tmp_path):
+    (tmp_path / "a.ax").write_text("include('b.ax').")
+    (tmp_path / "b.ax").write_text("fof(b1, axiom, p). include('./a.ax').")
+    with pytest.raises(ParseError, match="include"):
+        parse_problem("include('a.ax'). fof(c, conjecture, p).", axiom_root=tmp_path)
 
 
 def test_double_conjecture_rejected():
     with pytest.raises(ParseError):
         parse_problem("fof(c1,conjecture,p). fof(c2,conjecture,q).")
+
+
+def _tptp(text):
+    return parse_problem(f"fof(c, conjecture, {text}).").conjecture
+
+
+def test_tptp_connective_nesting():
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    assert _tptp("a => b => c") == Imp(a, Imp(b, c))
+    assert _tptp("a & b & c") == And(And(a, b), c)
+    assert _tptp("a | b | c") == Or(Or(a, b), c)
+    assert _tptp("a => b & c") == Imp(a, And(b, c))
+    assert _tptp("~ a & b") == And(Neg(a), b)
+    assert _tptp("a <= b") == Imp(b, a)
+    assert _tptp("a <= b <= c") == Imp(Imp(c, b), a)
+    assert _tptp("a <=> b | c") == Iff(a, Or(b, c))
+    assert _tptp("a <~> b") == Neg(Iff(a, b))
+    assert _tptp("a != b") == Neg(Atom("=", (con("a"), con("b"))))
+    f = _tptp("![X]: p(X) => q")
+    assert isinstance(f, Imp) and isinstance(f.left, Forall) and f.right == q
+    assert f.left.body == Atom("p", (f.left.var,))
+
+
+def test_tptp_connectives_do_not_mix():
+    for text in ("a & b | c", "a & b => c", "a | b <=> c", "a => b => c & d => e"):
+        with pytest.raises(ParseError):
+            _tptp(text)
+
+
+def test_tptp_negated_connectives():
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    assert _tptp("(a ~| b)") == Neg(Or(a, b))
+    assert _tptp("a ~& b") == Neg(And(a, b))
+    assert _tptp("a ~& b | c") == Neg(And(a, Or(b, c)))
 
 
 # ============================================================
@@ -153,14 +225,24 @@ def test_native_round_trip():
         f = random_formula(rng, rng.randint(1, 9))
         g = parse_native_formula(to_native(f))
         assert alpha_equal(f, g, free_bijection=True), (f, g)
-    # the printer keeps an explicit stack: formulas far deeper than the
-    # recursion limit print (the parser still recurses, so no round trip)
+    # printer and reader keep explicit stacks: formulas far deeper than
+    # the recursion limit print and read back (compared as text, since
+    # `==` on such formulas recurses)
     neg, conj = Atom("p"), Atom("p5000")
     for i in reversed(range(5000)):
         neg, conj = Neg(neg), And(Atom(f"p{i}"), conj)
     assert str(neg) == to_native(neg) == "~ " * 5000 + "p"
     text = " , ".join(f"(p{i}" for i in range(5000)) + " , p5000" + ")" * 5000
     assert str(conj) == to_native(conj) == text
+    assert str(parse_native_formula(to_native(neg))) == to_native(neg)
+    assert str(parse_native_formula(text)) == text
+    tptp = "fof(c, conjecture, " + "~ " * 5000 + "p)."
+    assert str(parse_problem(tptp).conjecture) == "~ " * 5000 + "p"
+    assert str(parse_native_formula("(" * 5000 + "p" + ")" * 5000)) == "p"
+    term = "p(" + "f(" * 5000 + "a" + ")" * 5001
+    assert str(parse_native_formula(term)) == term
+    chain = to_native(parse_native_formula(horn(150)))
+    assert str(parse_native_formula(chain)) == chain
 
 
 def test_native_round_trip_quantified():
