@@ -9,10 +9,10 @@ decomposition, choosing one of their clauses.
 
 The search runs in two phases.  Structurally it is a classical
 first-order connection search: connections need unifiable term
-arguments, while the literals' prefixes are only collected as
-constraints.  Once every branch is closed, the collected prefix pairs
-must unify as strings; if they do not, the search backtracks into other
-structural proofs.
+arguments, while their prefixes are only collected: one record per
+connection holds its two literals and the prefix variables they carry.
+Once every branch is closed, the prefix pairs must unify as strings; if
+they do not, the search backtracks into other structural proofs.
 
 An extension clause must contain a literal of the active path, or be
 alpha-related to all path literals with its parent clause (if any)
@@ -32,8 +32,9 @@ This module runs the search only.  Every question about the matrix's
 structure goes to `matrix`: which clauses and literals there are
 (`iter_clauses`, `iter_literals`), whether a clause holds a path literal
 (`contains`), where a literal and a clause diverge (`meet`), the prefix
-variables of a constraint (`leaves`), copies and beta-clauses.  The
-prefix constraints go to the unifier in `prefixes`.
+variables of a prefix pair (`leaves`), copies, which keep the clause's
+order of literals, and beta-clauses.  The prefix pairs go to the
+unifier in `prefixes`, whose first solution ends the search.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class ConnSearch:
         self.deadline = deadline
         self.tb = Bindings()
         self.pb = Bindings()  # prefix variables
-        self.constraints: list = []
+        # (literal, partner, prefix variable ids of their prefixes)
         self.connections: list = []
         self.copies: Counter = Counter()
         self.sat_cache = {} if sat_cache is None else sat_cache
@@ -132,13 +133,13 @@ class ConnSearch:
         return expand(a.prefix, self.pb) == expand(b.prefix, self.pb)
 
     def _connect(self, lit: MatLit, partner: MatLit) -> bool:
-        """Term-unify a complementary pair; records the prefix pair.
+        """Term-unify a complementary pair and record the connection.
 
-        Constraints only accumulate along a branch, so any unsatisfiable
-        subset dooms the branch.  As a cheap necessary condition the
-        prefix-variable-sharing component of the new pair is checked
-        here; the authoritative full unification still runs when all
-        branches are closed.
+        Connections only accumulate along a branch, so any unsatisfiable
+        subset of their prefix pairs dooms the branch.  As a cheap
+        necessary condition the prefix-variable-sharing component of the
+        new pair is checked here; the authoritative full unification
+        still runs when all branches are closed.
         """
         mark = self.tb.mark()
         for x, y in zip(lit.args, partner.args):
@@ -146,32 +147,31 @@ class ConnSearch:
                 self.tb.undo_to(mark)
                 return False
         pvars = {v.id for v in leaves(lit.prefix + partner.prefix) if isinstance(v, PVar)}
-        self.constraints.append((lit.prefix, partner.prefix, pvars))
+        self.connections.append((lit, partner, pvars))
         if not self._component_satisfiable():
-            self.constraints.pop()
-            self.tb.undo_to(mark)
+            self._disconnect(mark)
             return False
-        self.connections.append((lit, partner))
         return True
 
     def _component_satisfiable(self) -> bool:
-        """Satisfiability of the constraints transitively sharing prefix
-        variables with the newest pair; work-budgeted, cached by a
-        renaming-invariant signature, and inconclusive checks count as
-        satisfiable, so the pruning stays sound."""
-        comp = set(self.constraints[-1][2])
-        member = [False] * len(self.constraints)
+        """Satisfiability of the prefix pairs of the connections that
+        transitively share prefix variables with the newest one;
+        work-budgeted, cached by a renaming-invariant signature, and
+        inconclusive checks count as satisfiable, so the pruning stays
+        sound."""
+        comp = set(self.connections[-1][2])
+        member = [False] * len(self.connections)
         member[-1] = True
         changed = True
         while changed:
             changed = False
-            for i, (_, _, pv) in enumerate(self.constraints):
+            for i, (_, _, pv) in enumerate(self.connections):
                 if not member[i] and pv & comp:
                     member[i] = True
                     comp |= pv
                     changed = True
         pairs = [
-            (p1, p2) for (p1, p2, _), m in zip(self.constraints, member) if m
+            (a.prefix, b.prefix) for (a, b, _), m in zip(self.connections, member) if m
         ]
         sig = constraints_signature(pairs, self.pb, self.tb)
         hit = self.sat_cache.get(sig)
@@ -193,7 +193,6 @@ class ConnSearch:
             self.tb.undo_to(tmark)
 
     def _disconnect(self, mark: int) -> None:
-        self.constraints.pop()
         self.connections.pop()
         self.tb.undo_to(mark)
 
@@ -214,22 +213,22 @@ class ConnSearch:
         ] or list(self.m.clauses)
         for start in starts:
             for _ in self._activate(start, ()):
-                pairs = [(p1, p2) for p1, p2, _ in self.constraints]
+                pairs = [(a.prefix, b.prefix) for a, b, _ in self.connections]
                 for _ in prefix_unify(pairs, self.pb, self.tb, self.deadline):
                     yield self._snapshot()
 
     def _place_copy(self, clause: MatClause) -> Optional[tuple]:
-        """Put a fresh copy of clause in its parent's slot: (copy, literal
-        map, slot index), or None at the copy limit.  `_remove_copy` undoes it."""
+        """Put a fresh copy of clause in its parent's slot: (copy, slot
+        index), or None at the copy limit.  `_remove_copy` undoes it."""
         if self.copies[clause.label] >= self.copy_limit:
             self.blocked = True
             return None
         self.copies[clause.label] += 1
-        cp, litmap = copy_clause(clause)
+        cp = copy_clause(clause)
         slots = clause.parent.clauses
         ix = next(i for i, c in enumerate(slots) if c is clause)
         slots[ix] = cp
-        return cp, litmap, ix
+        return cp, ix
 
     def _remove_copy(self, clause: MatClause, ix: int) -> None:
         clause.parent.clauses[ix] = clause
@@ -240,7 +239,7 @@ class ConnSearch:
         placed = self._place_copy(clause)
         if placed is None:
             return
-        cp, _, ix = placed
+        cp, ix = placed
         try:
             yield from self._solve_all(list(cp.elements), path)
         finally:
@@ -286,26 +285,22 @@ class ConnSearch:
             return
         new_path = path + (lit,)
         for c1 in sorted(iter_clauses(self.m), key=lambda c: self.size[c.label]):
-            partners = [
-                l
-                for l in iter_literals(c1)
-                if l.pred == lit.pred and l.pol != lit.pol
-            ]
-            if not partners:
+            if not any(l.pred == lit.pred and l.pol != lit.pol for l in iter_literals(c1)):
                 continue
             if not self._is_extension_clause(c1, new_path):
                 continue
             placed = self._place_copy(c1)
             if placed is None:
                 continue
-            cp, litmap, ix = placed
+            cp, ix = placed
             try:
+                # listed before connecting: copies nested below fill cp's slots
+                partners = [l for l in iter_literals(cp) if l.pred == lit.pred and l.pol != lit.pol]
                 for l2 in partners:
-                    l2c = litmap[id(l2)]
                     mark = self.tb.mark()
-                    if self._connect(lit, l2c):
+                    if self._connect(lit, l2):
                         try:
-                            rest = beta_clause(cp, l2c)
+                            rest = beta_clause(cp, l2)
                             for _ in self._solve_all(rest, new_path):
                                 yield True
                         finally:
@@ -322,7 +317,7 @@ class ConnSearch:
                 resolved_string(a.prefix, self.pb, self.tb),
                 resolved_string(b.prefix, self.pb, self.tb),
             )
-            for a, b in self.connections
+            for a, b, _ in self.connections
         ]
         return ConnProof(conns)
 

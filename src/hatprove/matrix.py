@@ -47,6 +47,7 @@ so its printed form is canonical.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
@@ -203,27 +204,17 @@ class MatrixBuilder:
     def __init__(self, ground: bool):
         # a goal without term variables: no subformula has a free one
         self.ground = ground
-        self.a_count = 0
-        self.v_count = 0
-        self.x_count = 0
-        self.f_count = 0
-        self.label_count = 0
+        self.count = Counter()  # per kind of symbol, and of clause labels
+
+    def _next(self, kind: str) -> int:
+        self.count[kind] += 1
+        return self.count[kind]
 
     def _aconst(self, deps) -> PConst:
-        self.a_count += 1
-        return PConst(f"a{self.a_count}", tuple(deps))
+        return PConst(f"a{self._next('a')}", tuple(deps))
 
     def _pvar(self) -> PVar:
-        self.v_count += 1
-        return fresh_pvar(f"V{self.v_count}")
-
-    def _tvar(self) -> Var:
-        self.x_count += 1
-        return fresh_var(f"x{self.x_count}")
-
-    def _skolem(self, deps) -> Fun:
-        self.f_count += 1
-        return Fun(f"#f{self.f_count}", tuple(deps))
+        return fresh_pvar(f"V{self._next('V')}")
 
     def _deps(self, f: Formula, prefix: tuple) -> list:
         """Free term and prefix variables of the prefixed formula."""
@@ -262,23 +253,22 @@ class MatrixBuilder:
             return [self._beta(f.left, f.right, 0, 1, ext, ext)]
         if isinstance(f, Forall):
             if pol == 1:  # gamma
-                x = self._tvar()
-                body = substitute(f.body, f.var, x)
+                body = substitute(f.body, f.var, fresh_var(f"x{self._next('x')}"))
                 return self.build(body, 1, prefix + (self._pvar(),))
             deps = self._deps(f, prefix)  # delta
-            body = substitute(f.body, f.var, self._skolem(deps))
+            body = substitute(f.body, f.var, Fun(f"#f{self._next('#f')}", tuple(deps)))
             return self.build(body, 0, prefix + (self._aconst(deps),))
         if isinstance(f, Exists):
             if pol == 0:  # gamma, no prefix extension
-                x = self._tvar()
-                return self.build(substitute(f.body, f.var, x), 0, prefix)
+                body = substitute(f.body, f.var, fresh_var(f"x{self._next('x')}"))
+                return self.build(body, 0, prefix)
             deps = self._deps(f, prefix)  # delta
-            return self.build(substitute(f.body, f.var, self._skolem(deps)), 1, prefix)
+            body = substitute(f.body, f.var, Fun(f"#f{self._next('#f')}", tuple(deps)))
+            return self.build(body, 1, prefix)
         raise TypeError(f"not a formula: {f!r}")
 
     def _clause(self, elements) -> MatClause:
-        self.label_count += 1
-        clause = MatClause(self.label_count, list(elements))
+        clause = MatClause(self._next("label"), list(elements))
         for e in clause.elements:
             _set_parent(e, clause)
         return clause
@@ -369,14 +359,14 @@ def _compute_renameable(root: MatMatrix) -> None:
 # ============================================================
 
 
-def copy_clause(clause: MatClause) -> tuple:
+def copy_clause(clause: MatClause) -> MatClause:
     """Fresh copy renaming the clause's renameable variables.
 
-    Returns (copy, literal map from original to copied literals).
+    The copy keeps the clause's shape and order, so its literals come in
+    the order of the clause's literals.
     """
     tmap: dict[int, Var] = {}
     pmap: dict[int, PVar] = {}
-    litmap: dict[int, MatLit] = {}
 
     def cp_sym(t):
         """A term or prefix symbol with its renameable variables renamed."""
@@ -399,15 +389,13 @@ def copy_clause(clause: MatClause) -> tuple:
 
     def cp(node, parent):
         if isinstance(node, MatLit):
-            lit = MatLit(
+            return MatLit(
                 node.pred,
                 tuple(cp_sym(a) for a in node.args),
                 node.pol,
                 tuple(cp_sym(s) for s in node.prefix),
                 parent,
             )
-            litmap[id(node)] = lit
-            return lit
         if isinstance(node, MatClause):
             c = MatClause(node.label, [])
             c.elements = [cp(e, c) for e in node.elements]
@@ -434,7 +422,7 @@ def copy_clause(clause: MatClause) -> tuple:
         c.rename_pvars = frozenset(
             pmap[i].id if i in pmap else i for i in orig.rename_pvars
         )
-    return new_clause, litmap
+    return new_clause
 
 
 def beta_clause(clause: MatClause, lit: MatLit) -> list:

@@ -199,22 +199,6 @@ def resolved_string(prefix, pb: Bindings, tb: Bindings) -> tuple:
     return tuple(rsym(s) for s in expand(prefix, pb))
 
 
-def solution_signature(constraints, pb: Bindings, tb: Bindings):
-    """Canonical form of the current bindings, restricted to the
-    variables of the given constraints, values fully expanded."""
-    vids = {}
-    for p1, p2 in constraints:
-        for v in leaves(tuple(p1) + tuple(p2)):
-            if isinstance(v, PVar):
-                vids.setdefault(v.id, v)
-    items = []
-    for vid, v in sorted(vids.items()):
-        val = pb.lookup(v)
-        if val is not None:
-            items.append((vid, resolved_string(val, pb, tb)))
-    return frozenset(items)
-
-
 def constraints_signature(constraints, pb: Bindings, tb: Bindings):
     """Hashable form of a constraint set with variables renumbered by
     first occurrence; copies that differ only in fresh variable ids map
@@ -256,19 +240,14 @@ def prefix_unify(
 ) -> Iterator[Bindings]:
     """Enumerate prefix substitutions equalizing every constraint pair.
 
-    Solutions are deduplicated and checked by application before being
-    yielded; bindings live in `pb` (and term bindings in `tb`) while a
-    solution is being consumed and are undone on resumption.  Raises
-    `SearchTimeout` once `deadline` (a `time.monotonic()` value) has
-    passed.
+    Each solution is checked by application before it is yielded, and a
+    solution may repeat: the search takes the first one.  Bindings live
+    in `pb` (and term bindings in `tb`) while a solution is being
+    consumed and are undone on resumption.  Raises `SearchTimeout` once
+    `deadline` (a `time.monotonic()` value) has passed.
     """
     pairs = [(tuple(p1), tuple(p2)) for p1, p2 in constraints]
-    seen = set()
     for _ in _solve(pairs, pb, tb, deadline=deadline):
-        sig = solution_signature(pairs, pb, tb)
-        if sig in seen:
-            continue
-        seen.add(sig)
         for p1, p2 in pairs:
             if resolved_string(p1, pb, tb) != resolved_string(p2, pb, tb):
                 raise RuntimeError("unverified prefix unifier")

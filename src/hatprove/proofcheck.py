@@ -19,6 +19,8 @@ and skolem witnesses must come from the reserved symbol namespace.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .lht import EIGEN, ProofNode, _quantifier_premise, rule_of
 from .terms import (
     Atom,
@@ -44,23 +46,12 @@ def _remove_one(items: list, target: Formula) -> list:
 
 
 def _multiset_match(expected: list, actual: list) -> None:
-    """Equal as multisets; leftovers may pair up modulo bound renaming."""
+    """Equal as multisets."""
     if len(expected) != len(actual):
         raise ProofError(f"premise size mismatch: {len(expected)} vs {len(actual)}")
-    rest = list(actual)
-    loose = []
-    for f in expected:
-        if f in rest:
-            rest.remove(f)
-        else:
-            loose.append(f)
-    for f in loose:
-        for i, g in enumerate(rest):
-            if alpha_equal(f, g):
-                del rest[i]
-                break
-        else:
-            raise ProofError(f"premise formula {f} not found")
+    missing = Counter(expected) - Counter(actual)
+    if missing:
+        raise ProofError(f"premise formula {next(iter(missing))} not found")
 
 
 def check_proof(root: ProofNode) -> None:

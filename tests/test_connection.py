@@ -168,6 +168,43 @@ def test_sat_cache_is_shared_by_every_round(monkeypatch):
     assert solved and len(solved) == len(set(solved))
 
 
+def test_inconclusive_prefix_check_counts_as_satisfiable(monkeypatch):
+    # a component check that runs out of its work budget must not prune:
+    # it is cached as satisfiable, and the final unification decides
+    import hatprove.connection as connection
+
+    searches, budgeted = [], []
+    solve = connection._solve
+
+    class Counted(ConnSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    def run(f):
+        searches.clear()
+        r = prove_conn(f, timeout=10)
+        return r, sum(s.steps for s in searches), searches[-1].sat_cache
+
+    monkeypatch.setattr(connection, "ConnSearch", Counted)
+    peirce = parse_native_formula("((p => q) => p) => p")
+    _, steps, cache = run(peirce)
+    assert False in cache.values()  # at the real budget the check prunes
+
+    def no_budget(pairs, pb, tb, budget):
+        budgeted.append(budget)
+        return solve(pairs, pb, tb, [0])  # exceeded at the first step
+
+    monkeypatch.setattr(connection, "_solve", no_budget)
+    r, unpruned_steps, cache = run(peirce)
+    assert budgeted and set(cache.values()) == {True}
+    assert r.verdict is Verdict.REFUTED and unpruned_steps > steps
+    r, _, cache = run(embed(F1))
+    assert set(cache.values()) == {True}
+    assert r.verdict is Verdict.PROVED
+    assert all(c.prefix0 == c.prefix1 for c in r.proof.connections)
+
+
 def test_regularity_never_removes_all_proofs():
     # regularity is always on; it still leaves a proof of every HT-valid
     # formula of at most 5 nodes

@@ -147,13 +147,13 @@ def test_copy_renames_consistently():
     f = parse_native_formula("all X: (p(X) => q(X))", close=True)
     m = build_matrix(f)
     clause = m.clauses[0]
-    cp, litmap = copy_clause(clause)
+    cp = copy_clause(clause)
     orig_lits = list(iter_literals(clause))
     new_lits = list(iter_literals(cp))
     assert len(orig_lits) == len(new_lits)
     for o, n in zip(orig_lits, new_lits):
         assert o.pred == n.pred and o.pol == n.pol
-        assert litmap[id(o)] is n
+        assert n is not o and n.clause is not o.clause
 
 
 def test_copy_shares_beta_context_variables():

@@ -9,7 +9,6 @@ from hatprove.prefixes import (
     expand,
     prefix_unify,
     resolved_string,
-    solution_signature,
 )
 from hatprove.terms import Bindings
 from hatprove.verdicts import SearchTimeout

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from hatprove.frontend import parse_native_formula
-from hatprove.lht import LhtSearch, _freeze
+from hatprove.lht import LhtSearch, ProofNode, _freeze
 from hatprove import proofcheck
 from hatprove.proofcheck import ProofError, check_proof
 from hatprove.terms import And, Atom, Imp, Or, con, substitute
@@ -120,3 +120,16 @@ def test_rejects_eigen_witness_that_is_not_skolem():
     forged = replace(proof, witness=a, instance=substitute(f.body, f.var, a))
     with pytest.raises(ProofError, match="not a skolem term"):
         check_proof(forged)
+
+
+def test_rejects_premise_equal_only_modulo_bound_renaming():
+    # the premise of r2 must hold the disjunct itself, not an alpha-variant
+    all_x = parse_native_formula("all X: p(X)")
+    all_y = parse_native_formula("all Y: p(Y)")
+    assert all_x != all_y
+    leaf = ProofNode((q,), (all_y, q), "axiom1", closing=(q, q))
+    node = ProofNode((q,), (Or(all_x, q),), "r2", Or(all_x, q), (leaf,))
+    check_proof(leaf)
+    with pytest.raises(ProofError, match="not found"):
+        check_proof(node)
+    check_proof(replace(node, children=(replace(leaf, right=(all_x, q)),)))

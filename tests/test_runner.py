@@ -345,6 +345,16 @@ def test_usage_text_names_the_parser_options():
         assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options
 
 
+def test_readme_library_block_prints_its_comments(capsys):
+    # each line the block prints is the `# ` comment line below its print
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    expected = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    assert len(expected) == sum(line.startswith("print(") for line in block.splitlines())
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "hatprove.cli", "--help"],
