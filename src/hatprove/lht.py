@@ -8,13 +8,15 @@ principal's shape through `rule_of`.  At each node that is not an
 axiom, one pass over the sequent looks up the rule of every formula.
 All rules except the free-variable ones are invertible, so the node
 commits to the applicable invertible rule that comes first in the
-table, on its leftmost principal: non-splitting rules first, then
-splitting rules, equivalence expansion and the skolemizing quantifier
-rules.  Only when none applies are the free-variable rules tried, every
-(rule, position) pair in table order and left to right; they retain
-their principal formula, are backtracking points, and are capped per
-branch by a variable limit that iterative deepening raises round by
-round.
+table, on its leftmost principal.  The table is in choice order, as
+for analytic tableaux: the one-premise rules (r1-r7, equivalence
+expansion r15-r18 and the skolemizing quantifier rules r19-r22) come
+before the branching rules r8-r14, so no branch repeats work its
+parent could do once.  Only when none applies are the free-variable
+rules r23-r26 tried, every (rule, position) pair in table order and
+left to right; they retain their principal formula, are backtracking
+points, and are capped per branch by a variable limit that iterative
+deepening raises round by round.
 
 Quantifier handling follows the free-variable discipline: gamma-type
 rules introduce a placeholder variable resolved later by unification at
@@ -97,7 +99,8 @@ class RuleDef:
     premises: Optional[Callable] = None  # operands -> [(left adds, right adds)]
 
 
-# One entry per clause of the reference rule table, same order.  The
+# One entry per clause of the reference rule table, in choice order:
+# one-premise rules, branching rules, free-variable rules.  The
 # propositional operands are (left, right), or (a,) for ~ ~ a; the
 # quantifier operands are (binder, body).
 RULES = (
@@ -108,13 +111,6 @@ RULES = (
     RuleDef("r5", 1, PROP, Imp, True, lambda a, b: [([Neg(b)], [Neg(a)])]),
     RuleDef("r6", 1, PROP, Neg, True, lambda a: [([], [Neg(a)])]),
     RuleDef("r7", 0, PROP, Neg, True, lambda a: [([Neg(a)], [])]),
-    RuleDef("r8", 0, PROP, And, False, lambda a, b: [([], [a]), ([], [b])]),
-    RuleDef("r9", 1, PROP, Or, False, lambda a, b: [([a], []), ([b], [])]),
-    RuleDef("r10", 1, PROP, And, True, lambda a, b: [([Neg(a)], []), ([Neg(b)], [])]),
-    RuleDef("r11", 0, PROP, Or, True, lambda a, b: [([], [Neg(a)]), ([], [Neg(b)])]),
-    RuleDef("r12", 0, PROP, Imp, True, lambda a, b: [([Neg(a)], []), ([], [Neg(b)])]),
-    RuleDef("r13", 0, PROP, Imp, False, lambda a, b: [([a], [b]), ([Neg(b)], [Neg(a)])]),
-    RuleDef("r14", 1, PROP, Imp, False, lambda a, b: [([Neg(a)], []), ([], [a, Neg(b)]), ([b], [])]),
     RuleDef("r15", 1, PROP, Iff, False, lambda a, b: [([unfold_iff(a, b)], [])]),
     RuleDef("r16", 0, PROP, Iff, False, lambda a, b: [([], [unfold_iff(a, b)])]),
     RuleDef("r17", 1, PROP, Iff, True, lambda a, b: [([Neg(unfold_iff(a, b))], [])]),
@@ -123,6 +119,13 @@ RULES = (
     RuleDef("r20", 0, EIGEN, Exists, True),
     RuleDef("r21", 0, EIGEN, Forall, False),
     RuleDef("r22", 1, EIGEN, Exists, False),
+    RuleDef("r8", 0, PROP, And, False, lambda a, b: [([], [a]), ([], [b])]),
+    RuleDef("r9", 1, PROP, Or, False, lambda a, b: [([a], []), ([b], [])]),
+    RuleDef("r10", 1, PROP, And, True, lambda a, b: [([Neg(a)], []), ([Neg(b)], [])]),
+    RuleDef("r11", 0, PROP, Or, True, lambda a, b: [([], [Neg(a)]), ([], [Neg(b)])]),
+    RuleDef("r12", 0, PROP, Imp, True, lambda a, b: [([Neg(a)], []), ([], [Neg(b)])]),
+    RuleDef("r13", 0, PROP, Imp, False, lambda a, b: [([a], [b]), ([Neg(b)], [Neg(a)])]),
+    RuleDef("r14", 1, PROP, Imp, False, lambda a, b: [([Neg(a)], []), ([], [a, Neg(b)]), ([b], [])]),
     RuleDef("r23", 0, FREEVAR, Forall, True),
     RuleDef("r24", 1, FREEVAR, Exists, True),
     RuleDef("r25", 1, FREEVAR, Forall, False),

@@ -21,10 +21,10 @@ store (`Bindings`) that supports cheap mark/undo instead of persistent
 substitution maps.
 
 Searches hash and compare formulas at every node, so both are cheap
-when nothing is bound: a formula computes its structural hash on first
-use and keeps it, and on an empty trail `resolve_formula` returns its
-argument and `struct_equal` is `==`.  A ground search therefore builds
-no formula to resolve, and hashes each formula once.  With bindings,
+when nothing is bound: a formula or `Fun` computes its structural hash
+on first use and keeps it, and on an empty trail `resolve_formula`
+returns its argument and `struct_equal` is `==`.  A ground search
+therefore builds no formula to resolve, and hashes each formula once.  With bindings,
 resolving rebuilds only the parts that a binding changes.
 """
 
@@ -52,10 +52,84 @@ class Var:
         return f"{self.name}{self.id}" if self.name == "_" else self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fun:
+    """A function application; a constant has no arguments.
+
+    Hash and `==` are structural, as a frozen dataclass's would be, but
+    walk the arguments with an explicit stack, so term depth is bounded
+    by memory, not by the recursion limit.  The hash is computed
+    bottom-up on first use and kept.  A pickle holds the term in postfix
+    order, without the kept hash: `str` hashes differ between processes.
+    """
+
     sym: str
     args: tuple = ()
+
+    _hash = None  # not a field: set on the instance once computed
+
+    def __hash__(self):
+        if self._hash is None:
+            stack = [self]
+            while stack:
+                t = stack[-1]
+                todo = [a for a in t.args if type(a) is Fun and a._hash is None]
+                if todo:
+                    stack += todo
+                else:
+                    stack.pop()
+                    # the arguments' hashes are kept, so this does not recurse
+                    object.__setattr__(t, "_hash", hash((t.sym, t.args)))
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not Fun:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not Fun or type(b) is not Fun:
+                if a != b:
+                    return False
+            elif (
+                a.sym != b.sym
+                or len(a.args) != len(b.args)
+                or (a._hash is not None and b._hash is not None and a._hash != b._hash)
+            ):
+                return False
+            else:
+                todo += zip(a.args, b.args)
+        return True
+
+    def __reduce__(self):
+        # pre-order with the arguments right to left, so reversed it is
+        # postfix with the arguments left to right
+        items, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is Fun:
+                items.append((t.sym, len(t.args)))
+                stack += t.args
+            else:
+                items.append(t)
+        items.reverse()
+        return _fun_from_postfix, (items,)
+
+
+def _fun_from_postfix(items: list) -> Fun:
+    """The term of `Fun.__reduce__`: a `(sym, n)` item applies sym to the
+    last n values, any other item is a leaf."""
+    stack = []
+    for x in items:
+        if type(x) is tuple:
+            sym, n = x
+            args = tuple(stack[len(stack) - n :])
+            del stack[len(stack) - n :]
+            x = Fun(sym, args)
+        stack.append(x)
+    return stack[0]
 
 
 Term = Union[Var, Fun]

@@ -245,7 +245,9 @@ def test_ground_search_counts_are_unchanged():
         (horn(22), 855, 322),
         (horn(22, gap=11), 891, None),
         (schwichtenberg(5), 402, 769),
-        (_de_bruijn(1), 698, 475),
+        (_de_bruijn(1), 420, 298),
+        (_de_bruijn(2), 1473, 1095),
+        (_de_bruijn(3), 3312, 2534),
         (schwichtenberg(7), 1644, 7289),
     ]
     for text, nodes, apps in cases:
@@ -266,6 +268,21 @@ def test_ground_search_counts_are_unchanged():
     assert search.ground is False
 
 
+def test_one_premise_rules_come_before_branching_rules():
+    r = Atom("r")
+    # each sequent also holds a formula that splits (r9, r8, r9), but an
+    # equivalence is expanded and an existential skolemized first
+    cases = [
+        ((Iff(p, q), Or(p, q)), (p, q), "r15"),
+        ((), (And(q, r), Iff(p, p)), "r16"),
+        ((Exists(X, pa(X)), Or(q, q)), (q,), "r22"),
+    ]
+    for left, right, first in cases:
+        proof = LhtSearch(1).first_proof(left, right)
+        check_proof(proof)
+        assert proof.rule == first, (left, right)
+
+
 def test_settled_sequents_survive_key_collisions(monkeypatch):
     # every premise gets the same key, so each lookup meets some other
     # sequent's proof and must fall back to proving its own
@@ -274,7 +291,7 @@ def test_settled_sequents_survive_key_collisions(monkeypatch):
         (horn(22), 322),
         (horn(22, gap=11), None),
         (schwichtenberg(5), 769),
-        (_de_bruijn(1), 475),
+        (_de_bruijn(1), 298),
     ]
     for text, apps in cases:
         proof = LhtSearch(1).first_proof((), (parse_native_formula(text),))
@@ -282,6 +299,13 @@ def test_settled_sequents_survive_key_collisions(monkeypatch):
         assert (None if proof is None else proof.rule_applications()) == apps, text
         if proof is not None:
             check_proof(proof)
+
+
+def test_terms_deeper_than_the_recursion_limit():
+    # terms hash and compare with an explicit stack
+    deep = "p(" + "f(" * 5000 + "a" + ")" * 5001
+    f = parse_native_formula(f"{deep} => {deep}")
+    assert prove_lht(f, timeout=10).verdict is Verdict.PROVED
 
 
 def test_skolem_only_formula():

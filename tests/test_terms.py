@@ -310,3 +310,28 @@ def test_pickled_formula_carries_no_kept_hash():
     # in-process round trips drop it too
     g = pickle.loads(pickle.dumps(twin))
     assert g._hash is None and hash(g) == hash(twin)
+
+
+def _deep_term(n, leaf):
+    t = leaf
+    for _ in range(n):
+        t = Fun("f", (t, X))
+    return t
+
+
+def test_deep_terms_hash_compare_and_pickle():
+    t, twin, other = _deep_term(5_000, a), _deep_term(5_000, a), _deep_term(5_000, b)
+    assert hash(t) == hash(twin)
+    assert t == twin and t != other and t != X
+    assert Atom("p", (t,)) == Atom("p", (twin,))
+    assert hash(t) != hash(other)
+    assert t != other  # with both hashes kept, unequal hashes decide
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and copy.args[1] == X
+    # the kept hash stays behind, at every depth
+    assert t._hash is not None
+    assert copy._hash is None and copy.args[0]._hash is None
+    assert hash(copy) == hash(t)
+    g = Fun("g", (a, Fun("h", (X, b)), Y))
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert hash(g) == hash(("g", g.args))  # a frozen dataclass's hash
