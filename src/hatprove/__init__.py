@@ -35,11 +35,9 @@ from .terms import (
     Neg,
     Or,
     Var,
-    alpha_equal,
     con,
     formula_size,
     free_vars,
-    fresh_copy,
     fresh_var,
     skolem_term,
     substitute,

@@ -19,10 +19,10 @@ points, and are capped per branch by a variable limit that iterative
 deepening raises round by round.
 
 Quantifier handling follows the free-variable discipline: gamma-type
-rules introduce a placeholder variable resolved later by unification at
-the axioms, delta-type rules insert a skolem term over the branch's
-free variables, and the occurs check rejects instantiations that would
-violate the Eigenvariable condition.
+rules substitute a fresh variable for the binder, resolved later by
+unification at the axioms, delta-type rules substitute a skolem term
+over the branch's free variables and bind nothing, and the occurs check
+rejects instantiations that would violate the Eigenvariable condition.
 
 A failed round in which the limit never cut off a free-variable rule
 is the search every higher limit would do, so its failure is reported
@@ -69,12 +69,12 @@ from .terms import (
     Or,
     QUANT,
     Term,
-    Var,
-    fresh_copy,
+    fresh_var,
     is_ground,
     is_literal,
     skolem_term,
     struct_equal,
+    substitute,
     unfold_iff,
     unify_literals,
 )
@@ -203,7 +203,7 @@ def _same_side(a: tuple, b: tuple) -> bool:
 # ============================================================
 
 
-_NODE_NAMES = ("left", "right", "rule", "principal", "closing", "new_var", "witness", "instance")
+_NODE_NAMES = ("left", "right", "rule", "principal", "closing", "witness", "instance")
 _node_fields = attrgetter(*_NODE_NAMES)
 
 
@@ -215,8 +215,7 @@ class ProofNode:
     principal: Optional[Formula] = None
     children: tuple = ()
     closing: Optional[tuple] = None     # axiom leaves: the (G, H) pair
-    new_var: Optional[Var] = None       # free-variable rules
-    witness: Optional[Term] = None      # skolemizing rules
+    witness: Optional[Term] = None      # quantifier rules: the term put for the binder
     instance: Optional[Formula] = None  # instantiated body added to the premise
 
     def __eq__(self, other):
@@ -280,8 +279,6 @@ def _freeze(proof: ProofNode, bnd: Bindings) -> ProofNode:
         out = frozen.get(id(node))
         if out is not None:
             return out
-        # for free-variable rules the closing substitution decides the witness
-        wit = node.witness if node.witness is not None else node.new_var
         out = frozen[id(node)] = ProofNode(
             left=tuple(rf(f) for f in node.left),
             right=tuple(rf(f) for f in node.right),
@@ -289,8 +286,8 @@ def _freeze(proof: ProofNode, bnd: Bindings) -> ProofNode:
             principal=rf(node.principal) if node.principal is not None else None,
             children=tuple(map(freeze, node.children)),
             closing=tuple(rf(f) for f in node.closing) if node.closing else None,
-            new_var=node.new_var,
-            witness=bnd.resolve_term(wit) if wit is not None else None,
+            # a free-variable rule's witness is resolved by the closing bindings
+            witness=bnd.resolve_term(node.witness) if node.witness is not None else None,
             instance=rf(node.instance) if node.instance is not None else None,
         )
         return out
@@ -423,21 +420,18 @@ class LhtSearch:
             principal = right[idx]
             l0, r0 = left, right[:idx] + right[idx + 1 :]
 
-        mark = self.bnd.mark()
-        new_var = witness = instance = None
+        witness = instance = None
         freev2 = freev
         parts = _operands(principal)
         if rule.premises is None:
             x, body = parts
-            y, inst = fresh_copy((x, body), freev, self.bnd)
-            instance = inst
             if rule.kind == EIGEN:
                 witness = skolem_term(pos, freev)
-                self.bnd.bind(y, witness)
             else:
-                new_var = y
-                freev2 = freev + [y]
-            adds = _quantifier_premise(rule, principal, inst)
+                witness = fresh_var(x.name)
+                freev2 = freev + [witness]
+            instance = substitute(body, x, witness)
+            adds = _quantifier_premise(rule, principal, instance)
         else:
             adds = rule.premises(*parts)
 
@@ -450,20 +444,16 @@ class LhtSearch:
             ((*la, *l0) if la else l0, (*ra, *r0) if ra else r0, k)
             for (la, ra), k in zip(adds, keys)
         ]
-        try:
-            for children in self._premises(premises, pos, freev2, 0, ()):
-                yield ProofNode(
-                    left,
-                    right,
-                    rule.id,
-                    principal=principal,
-                    children=children,
-                    new_var=new_var,
-                    witness=witness,
-                    instance=instance,
-                )
-        finally:
-            self.bnd.undo_to(mark)
+        for children in self._premises(premises, pos, freev2, 0, ()):
+            yield ProofNode(
+                left,
+                right,
+                rule.id,
+                principal=principal,
+                children=children,
+                witness=witness,
+                instance=instance,
+            )
 
     def _premises(self, premises, pos, freev, i, acc) -> Iterator[tuple]:
         if i == len(premises):

@@ -11,11 +11,14 @@ requires.
 
 Contraction is absorbed: the left side is kept as a set, so a formula
 already present (under the current bindings) is not added twice, and a
-sequent identical to a branch ancestor is cut off.
-Together with the per-branch free-variable cap this makes every round
-terminate.  A failed round in which the cap never cut off a
-free-variable rule is the search every higher cap would do, so it is
-reported as Refuted; the propositional fragment is thereby decided.
+sequent identical to a branch ancestor is cut off, so a propositional
+search ends.  A failed round in which the per-branch free-variable cap
+never cut off a free-variable rule is the search every higher cap
+would do, so it is reported as Refuted; the propositional fragment is
+thereby decided.  The cap bounds only the free-variable rules, so a
+first-order round need not end: where negation-left, which keeps its
+principal, reaches a skolemizing rule again, each pass adds a new
+skolem instance and no sequent repeats.
 
 Each proof found yields the set of left-formula occurrences it used,
 compared by identity (`id`): the formula an axiom closes with, and the
@@ -33,8 +36,12 @@ axioms `G ; (G => H) ; ~H` are such disjunctions, and a proof that uses
 none of them is no longer repeated in each of their branches.
 
 Quantifiers use the same free-variable and dynamic-skolemization
-discipline as the native prover, with iterative deepening on the
-number of free variables per branch.
+discipline as the native prover: a free-variable rule substitutes a
+fresh variable for the binder, a skolemizing rule a skolem term over
+the branch's free variables, and neither binds anything.  An instance
+shares the inner binders of its body, so one equal to a formula
+already on the left is not added again.  Iterative deepening runs on
+the number of free variables per branch.
 """
 
 from __future__ import annotations
@@ -53,9 +60,10 @@ from .terms import (
     Imp,
     Neg,
     Or,
-    fresh_copy,
+    fresh_var,
     skolem_term,
     struct_equal,
+    substitute,
     unfold_iff,
     unify_literals,
 )
@@ -137,16 +145,10 @@ class LJSearch:
                         yield used | used_r | {id(f)}
                 return
             if isinstance(f, Exists):
-                sk = skolem_term(pos, freev)
-                y, inst = fresh_copy((f.var, f.body), freev, self.bnd)
-                mark = self.bnd.mark()
-                self.bnd.bind(y, sk)
-                try:
-                    premise = self._insert(rest, inst)
-                    for used in self.prove(premise, right, "l" + pos, freev, hist):
-                        yield used | {id(f)}
-                finally:
-                    self.bnd.undo_to(mark)
+                inst = substitute(f.body, f.var, skolem_term(pos, freev))
+                premise = self._insert(rest, inst)
+                for used in self.prove(premise, right, "l" + pos, freev, hist):
+                    yield used | {id(f)}
                 return
         if isinstance(right, Imp):
             premise = self._insert(left, right.left)
@@ -166,14 +168,8 @@ class LJSearch:
                     yield used | used_r
             return
         if isinstance(right, Forall):
-            sk = skolem_term(pos, freev)
-            y, inst = fresh_copy((right.var, right.body), freev, self.bnd)
-            mark = self.bnd.mark()
-            self.bnd.bind(y, sk)
-            try:
-                yield from self.prove(left, inst, "l" + pos, freev, hist)
-            finally:
-                self.bnd.undo_to(mark)
+            inst = substitute(right.body, right.var, skolem_term(pos, freev))
+            yield from self.prove(left, inst, "l" + pos, freev, hist)
             return
 
         # -- choice points
@@ -195,7 +191,8 @@ class LJSearch:
 
         if isinstance(right, Exists):
             if len(freev) < self.var_limit:
-                y, inst = fresh_copy((right.var, right.body), freev, self.bnd)
+                y = fresh_var(right.var.name)
+                inst = substitute(right.body, right.var, y)
                 yield from self.prove(left, inst, "l" + pos, freev + [y], hist)
             else:
                 self.blocked = True
@@ -203,8 +200,8 @@ class LJSearch:
         for f in list(left):
             if isinstance(f, Forall):
                 if len(freev) < self.var_limit:
-                    y, inst = fresh_copy((f.var, f.body), freev, self.bnd)
-                    premise = self._insert(left, inst)
+                    y = fresh_var(f.var.name)
+                    premise = self._insert(left, substitute(f.body, f.var, y))
                     for used in self.prove(premise, right, "l" + pos, freev + [y], hist):
                         yield used | {id(f)}
                 else:

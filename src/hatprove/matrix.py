@@ -66,6 +66,7 @@ from .terms import (
     free_vars,
     fresh_var,
     is_ground,
+    rewrite_term,
     substitute,
     unfold_iff,
 )
@@ -368,24 +369,25 @@ def copy_clause(clause: MatClause) -> MatClause:
     tmap: dict[int, Var] = {}
     pmap: dict[int, PVar] = {}
 
-    def cp_sym(t):
-        """A term or prefix symbol with its renameable variables renamed."""
+    def rename(t):
+        """A variable renamed if it is renameable; anything else as it is."""
         if isinstance(t, Var):
             if t.id in clause.rename_tvars:
                 if t.id not in tmap:
                     tmap[t.id] = fresh_var(t.name + "'")
                 return tmap[t.id]
-            return t
-        if isinstance(t, PVar):
+        elif isinstance(t, PVar):
             if t.id in clause.rename_pvars:
                 if t.id not in pmap:
                     pmap[t.id] = fresh_pvar(t.name + "'")
                 return pmap[t.id]
-            return t
-        if not t.args:
-            return t
-        args = tuple(cp_sym(a) for a in t.args)
-        return Fun(t.sym, args) if isinstance(t, Fun) else PConst(t.name, args)
+        return t
+
+    def cp_sym(t):
+        """A term or prefix symbol with its renameable variables renamed."""
+        if isinstance(t, PConst) and t.args:
+            return PConst(t.name, tuple(rewrite_term(a, rename) for a in t.args))
+        return rewrite_term(t, rename)
 
     def cp(node, parent):
         if isinstance(node, MatLit):

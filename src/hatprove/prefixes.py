@@ -26,7 +26,7 @@ import time
 from typing import Iterator, Optional
 
 from .matrix import PConst, PVar, leaves
-from .terms import Bindings, Var, unify_occurs
+from .terms import Bindings, Var, rewrite_term, unify_occurs
 from .verdicts import SearchTimeout
 
 
@@ -211,18 +211,19 @@ def constraints_signature(constraints, pb: Bindings, tb: Bindings):
             d[key] = len(d) + 1
         return d[key]
 
-    def cterm(t):
+    def canon(t):
+        """A variable as its number, in order of first occurrence."""
         t = tb.walk(t)
         if isinstance(t, Var):
             return ("x", num(tnum, t.id))
         if isinstance(t, PVar):
             return ("V", num(pnum, t.id))
-        return (t.sym,) + tuple(cterm(a) for a in t.args)
+        return t
 
     def csym(s):
         if isinstance(s, PVar):
             return ("V", num(pnum, s.id))
-        return ("a", s.name) + tuple(cterm(a) for a in s.args)
+        return ("a", s.name) + tuple(rewrite_term(a, canon) for a in s.args)
 
     out = []
     for p1, p2 in constraints:

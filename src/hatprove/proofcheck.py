@@ -12,9 +12,9 @@ with the search; it only reads the rule table, through `lht.rule_of`,
 so a node's named rule must be the one its principal's shape gives.
 
 Quantifier nodes are checked against the free-variable/skolemized rule
-forms: the instance must be the principal's body with the binder
-replaced by the recorded witness (modulo renaming of inner binders),
-and skolem witnesses must come from the reserved symbol namespace.
+forms: the instance must equal the principal's body with the recorded
+witness substituted for the binder, as the search builds it, and skolem
+witnesses must come from the reserved symbol namespace.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .terms import (
     Fun,
     Neg,
     SKOLEM_PREFIX,
-    alpha_equal,
     is_literal,
     substitute,
 )
@@ -112,7 +111,7 @@ def _check_node(node: ProofNode) -> None:
         if rule.kind == EIGEN:
             if not (isinstance(node.witness, Fun) and node.witness.sym.startswith(SKOLEM_PREFIX)):
                 raise ProofError(f"{node.rule} witness {node.witness} is not a skolem term")
-        if not alpha_equal(node.instance, substitute(body, x, node.witness)):
+        if node.instance != substitute(body, x, node.witness):
             raise ProofError(
                 f"{node.rule} instance {node.instance} is not the body at {node.witness}"
             )

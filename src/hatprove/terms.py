@@ -12,9 +12,13 @@ printer `formula_str`, which `str` of every formula and `Fun` and
 `frontend.to_native` call, keep an explicit stack, so formula depth is
 bounded by memory, not by the recursion limit; `formula_size` and
 `is_ground` read `subformulas`.  The one
-rebuild, `map_terms`, maps the arguments of every atom and the binder
-of every quantifier and shares each part in which nothing changes;
-`substitute`, `fresh_copy` and `Bindings.resolve_formula` run on it.
+rebuild, `map_terms`, maps the arguments of every atom and shares each
+part in which nothing changes; `substitute` and
+`Bindings.resolve_formula` run on it.  Every engine instantiates a
+quantifier with `substitute`, so an instance shares the inner binders
+of its body: formulas are rectified, and a binder is substituted away
+before it could occur free.  Walks over a term (`rewrite_term`,
+`occurs_in`, unification, `struct_equal`) keep an explicit stack too.
 
 Proof search backtracks constantly, so bindings live in a trail-backed
 store (`Bindings`) that supports cheap mark/undo instead of persistent
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from functools import partial
 from operator import attrgetter, is_
 from typing import Iterable, Iterator, Optional, Union
 
@@ -353,27 +356,57 @@ class Bindings:
     def resolve_term(self, term: Term) -> Term:
         if not self._map:
             return term
-        term = self.walk(term)
-        if not isinstance(term, Fun) or not term.args:
-            return term
-        args = _map_args(self.resolve_term, term.args)
-        return term if args is term.args else Fun(term.sym, args)
+        return rewrite_term(term, self.walk)
 
     def resolve_formula(self, f: Formula) -> Formula:
         """`f` under the current bindings; parts that no binding changes
         are returned as they are, with their kept hashes."""
         if not self._map:
             return f
-        return map_terms(f, partial(_map_args, self.resolve_term))
+        return map_terms(f, self.resolve_term)
+
+
+def rewrite_term(term: Term, step) -> Term:
+    """term with `step` applied top-down: to the term, then to each
+    argument of every `Fun` it returns, left to right, on an explicit
+    stack.  A `Fun` whose arguments all come back as they are is kept,
+    with its kept hash."""
+    term = step(term)
+    if type(term) is not Fun or not term.args:
+        return term
+    frames = [(term, [])]  # a Fun and its rewritten arguments so far
+    while True:
+        t, done = frames[-1]
+        if len(done) < len(t.args):
+            a = step(t.args[len(done)])
+            if type(a) is Fun and a.args:
+                frames.append((a, []))
+            else:
+                done.append(a)
+            continue
+        frames.pop()
+        if not all(map(is_, done, t.args)):
+            t = Fun(t.sym, tuple(done))
+        if not frames:
+            return t
+        frames[-1][1].append(t)
 
 
 def occurs_in(var: Var, term: Term, bnd: Bindings) -> bool:
     term = bnd.walk(term)
     if isinstance(term, Var):
         return term.id == var.id
-    if not isinstance(term, Fun):
-        return False  # opaque leaf (e.g. a prefix variable in a skolem term)
-    return any(occurs_in(var, a, bnd) for a in term.args)
+    if not isinstance(term, Fun) or not term.args:
+        return False  # a constant, or an opaque leaf (e.g. a prefix variable)
+    stack = list(term.args)
+    while stack:
+        t = bnd.walk(stack.pop())
+        if isinstance(t, Var):
+            if t.id == var.id:
+                return True
+        elif isinstance(t, Fun):
+            stack += t.args
+    return False
 
 
 def unify_occurs(t1: Term, t2: Term, bnd: Bindings) -> bool:
@@ -383,33 +416,39 @@ def unify_occurs(t1: Term, t2: Term, bnd: Bindings) -> bool:
     bindings are restored to their state at entry.
     """
     mark = bnd.mark()
-    if _unify(t1, t2, bnd):
+    if _unify([(t1, t2)], bnd):
         return True
     bnd.undo_to(mark)
     return False
 
 
-def _unify(t1: Term, t2: Term, bnd: Bindings) -> bool:
-    t1 = bnd.walk(t1)
-    t2 = bnd.walk(t2)
-    if isinstance(t1, Var):
-        if isinstance(t2, Var) and t2.id == t1.id:
-            return True
-        if occurs_in(t1, t2, bnd):
+def _unify(pairs: list, bnd: Bindings) -> bool:
+    """Unify each pair in turn, depth first and left to right, on an
+    explicit stack; bindings made before a failure stay."""
+    todo = pairs[::-1]
+    while todo:
+        t1, t2 = todo.pop()
+        t1 = bnd.walk(t1)
+        t2 = bnd.walk(t2)
+        if isinstance(t1, Var):
+            if isinstance(t2, Var) and t2.id == t1.id:
+                continue
+            if occurs_in(t1, t2, bnd):
+                return False
+            bnd.bind(t1, t2)
+        elif isinstance(t2, Var):
+            if occurs_in(t2, t1, bnd):
+                return False
+            bnd.bind(t2, t1)
+        elif not isinstance(t1, Fun) or not isinstance(t2, Fun):
+            # opaque leaves unify only with themselves
+            if t1 != t2:
+                return False
+        elif t1.sym != t2.sym or len(t1.args) != len(t2.args):
             return False
-        bnd.bind(t1, t2)
-        return True
-    if isinstance(t2, Var):
-        if occurs_in(t2, t1, bnd):
-            return False
-        bnd.bind(t2, t1)
-        return True
-    if not isinstance(t1, Fun) or not isinstance(t2, Fun):
-        # opaque leaves unify only with themselves
-        return t1 == t2
-    if t1.sym != t2.sym or len(t1.args) != len(t2.args):
-        return False
-    return all(_unify(a, b, bnd) for a, b in zip(t1.args, t2.args))
+        else:
+            todo += reversed(tuple(zip(t1.args, t2.args)))
+    return True
 
 
 def unify_literals(f1: Formula, f2: Formula, bnd: Bindings) -> bool:
@@ -418,7 +457,7 @@ def unify_literals(f1: Formula, f2: Formula, bnd: Bindings) -> bool:
         if f1.pred != f2.pred or len(f1.args) != len(f2.args):
             return False
         mark = bnd.mark()
-        if all(_unify(a, b, bnd) for a, b in zip(f1.args, f2.args)):
+        if _unify(list(zip(f1.args, f2.args)), bnd):
             return True
         bnd.undo_to(mark)
         return False
@@ -516,39 +555,29 @@ def formula_size(f: Formula) -> int:
     return sum(1 for _ in subformulas(f))
 
 
-def _map_args(fn, args: tuple) -> tuple:
-    """`fn` applied to each term of args; args itself when nothing changes."""
-    new = tuple([fn(a) for a in args])
-    return args if all(map(is_, new, args)) else new
-
-
-def map_terms(f: Formula, on_args, on_var=None) -> Formula:
-    """f with each atom's arguments replaced by `on_args(args)` and, given
-    `on_var`, each quantifier's binder by `on_var(binder)`, visited
-    left before right and each binder before its body.
-
-    A binder mapped to None keeps its quantifier as it is, body and all.
-    A part in which nothing changes (the mapped arguments and binders
-    are the objects passed in) is returned as it is, with its kept hash.
+def map_terms(f: Formula, on_term, shadow: Optional[Var] = None) -> Formula:
+    """f with each argument t of every atom replaced by `on_term(t)`,
+    visited left before right.  A quantifier over `shadow` is kept as it
+    is, body and all.  A part in which nothing changes (each mapped term
+    is the one passed in) is returned as it is, with its kept hash.
     """
     if isinstance(f, Atom):
-        args = on_args(f.args)
-        return f if args is f.args else Atom(f.pred, args)
+        args = tuple([on_term(a) for a in f.args])
+        return f if all(map(is_, args, f.args)) else Atom(f.pred, args)
     if isinstance(f, Neg):
-        body = map_terms(f.body, on_args, on_var)
+        body = map_terms(f.body, on_term, shadow)
         return f if body is f.body else Neg(body)
     if isinstance(f, BINARY):
-        left = map_terms(f.left, on_args, on_var)
-        right = map_terms(f.right, on_args, on_var)
+        left = map_terms(f.left, on_term, shadow)
+        right = map_terms(f.right, on_term, shadow)
         if left is f.left and right is f.right:
             return f
         return type(f)(left, right)
     if isinstance(f, QUANT):
-        var = f.var if on_var is None else on_var(f.var)
-        if var is None:
+        if shadow is not None and f.var.id == shadow.id:
             return f
-        body = map_terms(f.body, on_args, on_var)
-        return f if var is f.var and body is f.body else type(f)(var, body)
+        body = map_terms(f.body, on_term, shadow)
+        return f if body is f.body else type(f)(f.var, body)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -559,60 +588,15 @@ def substitute(f: Formula, x: Var, t: Term) -> Formula:
     t's variables cannot be captured.
     """
 
-    def sub(term: Term) -> Term:
-        if isinstance(term, Var):
-            return t if term.id == x.id else term
-        if not isinstance(term, Fun):
-            return term  # opaque leaf (e.g. a prefix variable in a skolem term)
-        args = _map_args(sub, term.args)
-        return term if args is term.args else Fun(term.sym, args)
+    def step(term: Term) -> Term:
+        return t if type(term) is Var and term.id == x.id else term
 
-    return map_terms(f, partial(_map_args, sub), lambda v: None if v.id == x.id else v)
+    return map_terms(f, lambda term: rewrite_term(term, step), x)
 
 
 # ============================================================
-# Fresh copies and skolem terms
+# Skolem terms
 # ============================================================
-
-
-def fresh_copy(payload, frozen: Iterable[Var], bnd: Optional[Bindings] = None):
-    """Copy a formula/term, renaming unbound variables consistently.
-
-    Variables reachable from `frozen` (through current bindings) keep
-    their identity; every other unbound variable, including quantifier
-    binders, is renamed to a fresh one.  Bound variables are resolved to
-    their values before copying, so the copy shares the caller's
-    instantiation state.
-    """
-    if bnd is None:
-        bnd = Bindings()
-    frozen_ids = {w.id for v in frozen for w in term_vars(bnd.resolve_term(v))}
-    mapping: dict[int, Var] = {}
-
-    def cp_term(t: Term) -> Term:
-        t = bnd.walk(t)
-        if isinstance(t, Var):
-            if t.id in frozen_ids:
-                return t
-            if t.id not in mapping:
-                mapping[t.id] = fresh_var(t.name)
-            return mapping[t.id]
-        if not t.args:
-            return t
-        return Fun(t.sym, tuple(cp_term(a) for a in t.args))
-
-    def cp_formula(f: Formula) -> Formula:
-        return map_terms(f, partial(_map_args, cp_term), cp_term)
-
-    if isinstance(payload, Formula):
-        return cp_formula(payload)
-    if isinstance(payload, (Var, Fun)):
-        return cp_term(payload)
-    if isinstance(payload, tuple):
-        return tuple(
-            cp_formula(p) if isinstance(p, Formula) else cp_term(p) for p in payload
-        )
-    raise TypeError(f"cannot copy: {payload!r}")
 
 
 def skolem_term(site_id, free_vars_seq: Iterable[Var]) -> Fun:
@@ -629,64 +613,6 @@ def skolem_term(site_id, free_vars_seq: Iterable[Var]) -> Fun:
 # ============================================================
 
 
-def alpha_equal(f: Formula, g: Formula, free_bijection: bool = False) -> bool:
-    """Structural equality modulo renaming of bound variables.
-
-    With free_bijection=True, free variables may also be renamed, as
-    long as the renaming is one-to-one.
-    """
-    fmap: dict[int, int] = {}
-    gmap: dict[int, int] = {}
-
-    def tv(a: Term, b: Term) -> bool:
-        if isinstance(a, Var) and isinstance(b, Var):
-            if a.id in fmap or b.id in gmap:
-                return fmap.get(a.id) == b.id and gmap.get(b.id) == a.id
-            if free_bijection:
-                fmap[a.id] = b.id
-                gmap[b.id] = a.id
-                return True
-            return a.id == b.id
-        if isinstance(a, Fun) and isinstance(b, Fun):
-            return (
-                a.sym == b.sym
-                and len(a.args) == len(b.args)
-                and all(tv(x, y) for x, y in zip(a.args, b.args))
-            )
-        return False
-
-    def go(a: Formula, b: Formula) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Atom):
-            return (
-                a.pred == b.pred
-                and len(a.args) == len(b.args)
-                and all(tv(x, y) for x, y in zip(a.args, b.args))
-            )
-        if isinstance(a, Neg):
-            return go(a.body, b.body)
-        if isinstance(a, BINARY):
-            return go(a.left, b.left) and go(a.right, b.right)
-        # quantifier: bind the two binders to each other
-        oldf, oldg = fmap.get(a.var.id), gmap.get(b.var.id)
-        had_f, had_g = a.var.id in fmap, b.var.id in gmap
-        fmap[a.var.id] = b.var.id
-        gmap[b.var.id] = a.var.id
-        ok = go(a.body, b.body)
-        if had_f:
-            fmap[a.var.id] = oldf
-        else:
-            del fmap[a.var.id]
-        if had_g:
-            gmap[b.var.id] = oldg
-        else:
-            del gmap[b.var.id]
-        return ok
-
-    return go(f, g)
-
-
 def struct_equal(f: Formula, g: Formula, bnd: Bindings) -> bool:
     """Syntactic identity of the current instantiations (Prolog's ==).
 
@@ -696,16 +622,20 @@ def struct_equal(f: Formula, g: Formula, bnd: Bindings) -> bool:
     if not bnd._map:
         return f == g
 
-    def tv(a: Term, b: Term) -> bool:
-        a = bnd.walk(a)
-        b = bnd.walk(b)
-        if isinstance(a, Var) or isinstance(b, Var):
-            return isinstance(a, Var) and isinstance(b, Var) and a.id == b.id
-        return (
-            a.sym == b.sym
-            and len(a.args) == len(b.args)
-            and all(tv(x, y) for x, y in zip(a.args, b.args))
-        )
+    def tv(todo: list) -> bool:
+        """Each pair of terms is equal; an explicit stack."""
+        while todo:
+            a, b = todo.pop()
+            a = bnd.walk(a)
+            b = bnd.walk(b)
+            if isinstance(a, Var) or isinstance(b, Var):
+                if not (isinstance(a, Var) and isinstance(b, Var) and a.id == b.id):
+                    return False
+            elif a.sym != b.sym or len(a.args) != len(b.args):
+                return False
+            else:
+                todo += zip(a.args, b.args)
+        return True
 
     def go(a: Formula, b: Formula) -> bool:
         if type(a) is not type(b):
@@ -714,7 +644,7 @@ def struct_equal(f: Formula, g: Formula, bnd: Bindings) -> bool:
             return (
                 a.pred == b.pred
                 and len(a.args) == len(b.args)
-                and all(tv(x, y) for x, y in zip(a.args, b.args))
+                and tv(list(zip(a.args, b.args)))
             )
         if isinstance(a, Neg):
             return go(a.body, b.body)

@@ -1,4 +1,4 @@
-"""Shared test helpers: formula corpora and independent oracles."""
+"""Shared test helpers: formula corpora, comparison and independent oracles."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import itertools
 import random
 
 from hatprove.oracle import HTInterpretation
-from hatprove.terms import And, Atom, Exists, Forall, Iff, Imp, Neg, Or, Var
-from hatprove.terms import fresh_var, signature
+from hatprove.terms import BINARY, And, Atom, Exists, Forall, Formula, Fun, Iff, Imp
+from hatprove.terms import Neg, Or, Term, Var, fresh_var, signature
 
 # ============================================================
 # Propositional formula corpora
@@ -76,6 +76,69 @@ def random_fo_formula(rng: random.Random, size: int, bound: tuple = ()):
     left = random_fo_formula(rng, ls, bound)
     right = random_fo_formula(rng, size - 1 - ls, bound)
     return rng.choice([And, Or, Imp])(left, right)
+
+
+# ============================================================
+# Formula comparison
+# ============================================================
+
+
+def alpha_equal(f: Formula, g: Formula, free_bijection: bool = False) -> bool:
+    """Structural equality modulo renaming of bound variables.
+
+    With free_bijection=True, free variables may also be renamed, as
+    long as the renaming is one-to-one.
+    """
+    fmap: dict[int, int] = {}
+    gmap: dict[int, int] = {}
+
+    def tv(a: Term, b: Term) -> bool:
+        if isinstance(a, Var) and isinstance(b, Var):
+            if a.id in fmap or b.id in gmap:
+                return fmap.get(a.id) == b.id and gmap.get(b.id) == a.id
+            if free_bijection:
+                fmap[a.id] = b.id
+                gmap[b.id] = a.id
+                return True
+            return a.id == b.id
+        if isinstance(a, Fun) and isinstance(b, Fun):
+            return (
+                a.sym == b.sym
+                and len(a.args) == len(b.args)
+                and all(tv(x, y) for x, y in zip(a.args, b.args))
+            )
+        return False
+
+    def go(a: Formula, b: Formula) -> bool:
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Atom):
+            return (
+                a.pred == b.pred
+                and len(a.args) == len(b.args)
+                and all(tv(x, y) for x, y in zip(a.args, b.args))
+            )
+        if isinstance(a, Neg):
+            return go(a.body, b.body)
+        if isinstance(a, BINARY):
+            return go(a.left, b.left) and go(a.right, b.right)
+        # quantifier: bind the two binders to each other
+        oldf, oldg = fmap.get(a.var.id), gmap.get(b.var.id)
+        had_f, had_g = a.var.id in fmap, b.var.id in gmap
+        fmap[a.var.id] = b.var.id
+        gmap[b.var.id] = a.var.id
+        ok = go(a.body, b.body)
+        if had_f:
+            fmap[a.var.id] = oldf
+        else:
+            del fmap[a.var.id]
+        if had_g:
+            gmap[b.var.id] = oldg
+        else:
+            del gmap[b.var.id]
+        return ok
+
+    return go(f, g)
 
 
 # ============================================================

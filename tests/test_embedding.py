@@ -4,6 +4,7 @@ from hatprove.lj import prove_lj
 from hatprove.oracle import ht_valid_prop
 from hatprove.terms import Atom, Exists, Forall, Imp, Neg, Or, free_vars, signature
 from hatprove.verdicts import Verdict
+from support import alpha_equal
 
 p, q = Atom("p"), Atom("q")
 F1 = Or(Imp(p, q), Imp(q, p))
@@ -26,8 +27,6 @@ def test_hos_single_unary_predicate():
     assert len(axioms) == 1
     # the single instance pairs the negated literal with the atom
     expected = parse_native_formula("all X1: all Y1: (~ p(X1) ; ((~ p(X1) => p(Y1)) ; ~ p(Y1)))", close=False)
-    from hatprove.terms import alpha_equal
-
     assert alpha_equal(axioms[0], expected, free_bijection=True)
 
 
@@ -42,8 +41,6 @@ def test_sqht_unary():
     assert len(axioms) == 2
     pos = parse_native_formula("ex X: (p(X) => all Y: p(Y))")
     neg = parse_native_formula("ex X: (~ p(X) => all Y: ~ p(Y))")
-    from hatprove.terms import alpha_equal
-
     assert alpha_equal(axioms[0], pos, free_bijection=True)
     assert alpha_equal(axioms[1], neg, free_bijection=True)
 

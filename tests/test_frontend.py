@@ -22,12 +22,11 @@ from hatprove.terms import (
     Imp,
     Neg,
     Or,
-    alpha_equal,
     con,
     signature,
 )
 from hatprove.verdicts import Verdict
-from support import horn, random_formula
+from support import alpha_equal, horn, random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 

@@ -41,7 +41,7 @@ from hatprove.terms import (
     Or,
     Var,
     con,
-    fresh_copy,
+    substitute,
 )
 from hatprove.verdicts import Verdict
 from support import (
@@ -104,11 +104,28 @@ def test_forall_left_retains_principal():
     rule, (x, body) = rule_of(f, 1)
     assert rule.id == "r25"
     assert rule.kind == FREEVAR      # instantiated with a new variable
-    _, inst = fresh_copy((x, body), ())
+    inst = substitute(body, x, Var(2001, "Y"))
     (left_add, right_add), = _quantifier_premise(rule, f, inst)
     assert right_add == []
     assert left_add[1] is f          # retained original
-    assert isinstance(left_add[0], Atom)
+    assert left_add[0] == pa(Var(2001, "Y"))
+
+
+def test_instance_keeps_the_inner_binder():
+    # r25 substitutes a fresh variable for X and shares the body's own
+    # quantifier over Y, so proofcheck recognises the instance with ==
+    Y = Var(3002, "Y")
+    f = Forall(X, Forall(Y, Atom("p", (X, Y))))
+    r = prove_lht(Imp(f, Atom("p", (con("a"), con("b")))), timeout=5)
+    assert r.verdict is Verdict.PROVED
+    check_proof(r.proof)
+    stack, insts = [r.proof], []
+    while stack:
+        node = stack.pop()
+        stack += node.children
+        if node.rule == "r25" and node.principal == f:
+            insts.append(node.instance)
+    assert insts and all(inst.var is Y for inst in insts)
 
 
 def test_forall_right_skolemizes():

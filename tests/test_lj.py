@@ -73,6 +73,33 @@ def test_embedded_search_counts_are_unchanged(monkeypatch):
         assert [s.nodes for s in searches] == nodes, text
 
 
+def test_instance_equal_to_a_left_formula_is_a_repeat(monkeypatch):
+    # an instance shares its body's inner binders, so a second instance of
+    # a quantifier whose body ignores its binder equals the first: the
+    # left set and the loop check see the repeat, and each round ends.
+    # With renamed inner binders every instance was new, and both goals
+    # timed out at 5 s after 17 and 20 rounds
+    cases = [
+        ("(~ ((all X1: (all X2: (r => r))) ; ((r , r) , r)) ; r)", 3, [6, 10, 14]),
+        ("(all X1: ((ex X2: (r , r)) ; ~ (all X2: (r => (ex X3: r)))))", 2, [10, 12]),
+    ]
+    searches = []
+
+    class Recorded(lj.LJSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    monkeypatch.setattr(lj, "LJSearch", Recorded)
+    for text, rounds, nodes in cases:
+        f = parse_native_formula(text, close=True)
+        searches.clear()
+        r = prove_lj(f, timeout=5)
+        assert (r.verdict, r.rounds) == (Verdict.REFUTED, rounds), text
+        assert [s.nodes for s in searches] == nodes, text
+        assert prove_lht(f, timeout=5).verdict is Verdict.REFUTED, text
+
+
 def test_unused_left_disjunction_skips_its_right_premise(monkeypatch):
     # twelve disjunctions the proof of s => s never touches: without the
     # use check every one of the 2^12 branches repeats that proof

@@ -89,6 +89,24 @@ def test_native_format(tmp_path):
     assert result.status == "Theorem"
 
 
+@pytest.mark.parametrize("backend", ["lht", "lj", "conn"])
+def test_terms_deeper_than_the_recursion_limit(tmp_path, backend):
+    # substitution, resolution, unification, the occurs check, term
+    # comparison, clause copies and prefix signatures keep explicit stacks
+    fa = "f(" * 5000 + "a" + ")" * 5000
+    fx = "f(" * 5000 + "X" + ")" * 5000
+    goals = [
+        f"p({fa}) => p({fa})",
+        f"(all X: p(X)) => p({fa})",
+        f"(all X: (p(X) => q(X))) => (p({fa}) => q({fa}))",
+        f"(all X: p({fx})) => p({fa})",
+    ]
+    for i, text in enumerate(goals):
+        path = write(tmp_path, f"deep{i}.htp", text)
+        result = run_problem(path, RunConfig(backend=backend, fmt="native", timeout=10))
+        assert result.status == "Theorem", (i, result.message)
+
+
 def test_equality_pipeline(tmp_path):
     path = write(tmp_path, "eq.p", "fof(c, conjecture, a = b => b = a).")
     result = run_problem(path, RunConfig(backend="lht", timeout=10))

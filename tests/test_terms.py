@@ -18,11 +18,9 @@ from hatprove.terms import (
     Neg,
     Or,
     Var,
-    alpha_equal,
     con,
     formula_size,
     free_vars,
-    fresh_copy,
     fresh_var,
     signature,
     skolem_term,
@@ -31,6 +29,7 @@ from hatprove.terms import (
     substitute,
     unify_occurs,
 )
+from support import alpha_equal
 
 X = Var(1001, "X")
 Y = Var(1002, "Y")
@@ -115,37 +114,6 @@ def test_rebinding_a_bound_variable_raises():
     bnd.undo_to(0)
     bnd.bind(X, b)
     assert bnd.resolve_term(X) == b
-
-
-def test_fresh_copy_full_rename():
-    g = fresh_copy(pa(X), ())
-    assert isinstance(g.args[0], Var) and g.args[0].id != X.id
-
-
-def test_fresh_copy_frozen_preserved():
-    g = fresh_copy(Atom("p", (X, Y)), (X,))
-    assert g.args[0] == X
-    assert isinstance(g.args[1], Var) and g.args[1].id != Y.id
-
-
-def test_fresh_copy_ground_identity():
-    assert fresh_copy(pa(a), ()) == pa(a)
-
-
-def test_fresh_copy_unifies_with_original():
-    f = Atom("q", (X, Fun("f", (Y,))))
-    g = fresh_copy(f, ())
-    bnd = Bindings()
-    assert unify_occurs(Fun("w", f.args), Fun("w", g.args), bnd)
-
-
-def test_fresh_copy_follows_bindings_of_frozen():
-    # a frozen variable bound to a term keeps that term's variables intact
-    bnd = Bindings()
-    bnd.bind(X, Fun("f", (Z,)))
-    g = fresh_copy(Atom("p", (X, Y)), (X,), bnd)
-    assert g.args[0] == Fun("f", (Z,))
-    assert g.args[1] != Y
 
 
 def test_skolem_term_shape():
