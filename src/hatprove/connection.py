@@ -13,6 +13,10 @@ arguments, while their prefixes are only collected: one record per
 connection holds its two literals and the prefix variables they carry.
 Once every branch is closed, the prefix pairs must unify as strings; if
 they do not, the search backtracks into other structural proofs.
+Backtracking undoes every choice the way Prolog does for leanCoP: each
+clause copy (`_copied`) and each connection (`_connected`) is one
+generator that makes the change, yields while the search below it runs,
+and undoes the change in its `finally`, so no caller restores state.
 
 An extension clause must contain a literal of the active path, or be
 alpha-related to all path literals with its parent clause (if any)
@@ -132,8 +136,9 @@ class ConnSearch:
                 return False
         return expand(a.prefix, self.pb) == expand(b.prefix, self.pb)
 
-    def _connect(self, lit: MatLit, partner: MatLit) -> bool:
-        """Term-unify a complementary pair and record the connection.
+    def _connected(self, lit: MatLit, partner: MatLit) -> Iterator[None]:
+        """Term-unify a complementary pair and record the connection;
+        yield once if the branch stays satisfiable, then undo both.
 
         Connections only accumulate along a branch, so any unsatisfiable
         subset of their prefix pairs dooms the branch.  As a cheap
@@ -142,16 +147,16 @@ class ConnSearch:
         still runs when all branches are closed.
         """
         mark = self.tb.mark()
-        for x, y in zip(lit.args, partner.args):
-            if not unify_occurs(x, y, self.tb):
-                self.tb.undo_to(mark)
-                return False
-        pvars = {v.id for v in leaves(lit.prefix + partner.prefix) if isinstance(v, PVar)}
-        self.connections.append((lit, partner, pvars))
-        if not self._component_satisfiable():
-            self._disconnect(mark)
-            return False
-        return True
+        n = len(self.connections)
+        try:
+            if all(unify_occurs(x, y, self.tb) for x, y in zip(lit.args, partner.args)):
+                pvars = {v.id for v in leaves(lit.prefix + partner.prefix) if isinstance(v, PVar)}
+                self.connections.append((lit, partner, pvars))
+                if self._component_satisfiable():
+                    yield
+        finally:
+            del self.connections[n:]
+            self.tb.undo_to(mark)
 
     def _component_satisfiable(self) -> bool:
         """Satisfiability of the prefix pairs of the connections that
@@ -192,10 +197,6 @@ class ConnSearch:
             self.pb.undo_to(pmark)
             self.tb.undo_to(tmark)
 
-    def _disconnect(self, mark: int) -> None:
-        self.connections.pop()
-        self.tb.undo_to(mark)
-
     # -- search --------------------------------------------------------------
 
     def run(self) -> Iterator[ConnProof]:
@@ -212,38 +213,27 @@ class ConnSearch:
             if all(l.pol == 0 for l in iter_literals(c))
         ] or list(self.m.clauses)
         for start in starts:
-            for _ in self._activate(start, ()):
-                pairs = [(a.prefix, b.prefix) for a, b, _ in self.connections]
-                for _ in prefix_unify(pairs, self.pb, self.tb, self.deadline):
-                    yield self._snapshot()
+            for cp in self._copied(start):
+                for _ in self._solve_all(list(cp.elements), ()):
+                    pairs = [(a.prefix, b.prefix) for a, b, _ in self.connections]
+                    for _ in prefix_unify(pairs, self.pb, self.tb, self.deadline):
+                        yield self._snapshot()
 
-    def _place_copy(self, clause: MatClause) -> Optional[tuple]:
-        """Put a fresh copy of clause in its parent's slot: (copy, slot
-        index), or None at the copy limit.  `_remove_copy` undoes it."""
+    def _copied(self, clause: MatClause) -> Iterator[MatClause]:
+        """Put a fresh copy of clause in its parent's slot and yield it,
+        then put the clause back; at the copy limit, yield nothing."""
         if self.copies[clause.label] >= self.copy_limit:
             self.blocked = True
-            return None
-        self.copies[clause.label] += 1
-        cp = copy_clause(clause)
+            return
         slots = clause.parent.clauses
         ix = next(i for i, c in enumerate(slots) if c is clause)
-        slots[ix] = cp
-        return cp, ix
-
-    def _remove_copy(self, clause: MatClause, ix: int) -> None:
-        clause.parent.clauses[ix] = clause
-        self.copies[clause.label] -= 1
-
-    def _activate(self, clause: MatClause, path: tuple) -> Iterator[None]:
-        """Copy a clause into place and solve all its obligations."""
-        placed = self._place_copy(clause)
-        if placed is None:
-            return
-        cp, ix = placed
+        self.copies[clause.label] += 1
+        slots[ix] = cp = copy_clause(clause)
         try:
-            yield from self._solve_all(list(cp.elements), path)
+            yield cp
         finally:
-            self._remove_copy(clause, ix)
+            slots[ix] = clause
+            self.copies[clause.label] -= 1
 
     def _solve_all(self, elements: list, path: tuple) -> Iterator[None]:
         if not elements:
@@ -272,12 +262,7 @@ class ConnSearch:
         # reduction against the path
         for plit in path:
             if plit.pred == lit.pred and plit.pol != lit.pol:
-                mark = self.tb.mark()
-                if self._connect(lit, plit):
-                    try:
-                        yield True
-                    finally:
-                        self._disconnect(mark)
+                yield from self._connected(lit, plit)
 
         # extension into a copied clause, up to the path bound
         if len(path) >= self.copy_limit:
@@ -289,24 +274,12 @@ class ConnSearch:
                 continue
             if not self._is_extension_clause(c1, new_path):
                 continue
-            placed = self._place_copy(c1)
-            if placed is None:
-                continue
-            cp, ix = placed
-            try:
+            for cp in self._copied(c1):
                 # listed before connecting: copies nested below fill cp's slots
                 partners = [l for l in iter_literals(cp) if l.pred == lit.pred and l.pol != lit.pol]
                 for l2 in partners:
-                    mark = self.tb.mark()
-                    if self._connect(lit, l2):
-                        try:
-                            rest = beta_clause(cp, l2)
-                            for _ in self._solve_all(rest, new_path):
-                                yield True
-                        finally:
-                            self._disconnect(mark)
-            finally:
-                self._remove_copy(c1, ix)
+                    for _ in self._connected(lit, l2):
+                        yield from self._solve_all(beta_clause(cp, l2), new_path)
 
     def _snapshot(self) -> ConnProof:
         conns = [

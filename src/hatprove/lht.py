@@ -203,7 +203,7 @@ def _same_side(a: tuple, b: tuple) -> bool:
 # ============================================================
 
 
-_NODE_NAMES = ("left", "right", "rule", "principal", "closing", "witness", "instance")
+_NODE_NAMES = ("left", "right", "rule", "principal", "closing", "witness")
 _node_fields = attrgetter(*_NODE_NAMES)
 
 
@@ -214,9 +214,8 @@ class ProofNode:
     rule: str                      # r1..r26, axiom1, axiom2
     principal: Optional[Formula] = None
     children: tuple = ()
-    closing: Optional[tuple] = None     # axiom leaves: the (G, H) pair
-    witness: Optional[Term] = None      # quantifier rules: the term put for the binder
-    instance: Optional[Formula] = None  # instantiated body added to the premise
+    closing: Optional[Formula] = None  # axiom leaves: G, on the right or under ~ on the left
+    witness: Optional[Term] = None     # quantifier rules: the term put for the binder
 
     def __eq__(self, other):
         """Equal fields and premises; each pair of nodes is compared once,
@@ -285,10 +284,9 @@ def _freeze(proof: ProofNode, bnd: Bindings) -> ProofNode:
             rule=node.rule,
             principal=rf(node.principal) if node.principal is not None else None,
             children=tuple(map(freeze, node.children)),
-            closing=tuple(rf(f) for f in node.closing) if node.closing else None,
+            closing=rf(node.closing) if node.closing is not None else None,
             # a free-variable rule's witness is resolved by the closing bindings
             witness=bnd.resolve_term(node.witness) if node.witness is not None else None,
-            instance=rf(node.instance) if node.instance is not None else None,
         )
         return out
 
@@ -305,9 +303,9 @@ def _ground_axiom(left: tuple, right: tuple) -> Optional[ProofNode]:
     negated = {n.body for n in left if isinstance(n, Neg)}
     for a in left:
         if a in rights:
-            return ProofNode(left, right, "axiom1", closing=(a, a))
+            return ProofNode(left, right, "axiom1", closing=a)
         if a in negated:
-            return ProofNode(left, right, "axiom2", closing=(a, a))
+            return ProofNode(left, right, "axiom2", closing=a)
     return None
 
 
@@ -341,7 +339,7 @@ class LhtSearch:
         for a in left:
             for b, kind in candidates:
                 if struct_equal(a, b, self.bnd):
-                    yield ProofNode(left, right, kind, closing=(a, b))
+                    yield ProofNode(left, right, kind, closing=a)
                     return True
                 if not is_literal(a):
                     continue
@@ -350,7 +348,7 @@ class LhtSearch:
                 mark = self.bnd.mark()
                 if unify_literals(a, b, self.bnd):
                     try:
-                        yield ProofNode(left, right, kind, closing=(a, b))
+                        yield ProofNode(left, right, kind, closing=a)
                     finally:
                         self.bnd.undo_to(mark)
         return False
@@ -420,7 +418,7 @@ class LhtSearch:
             principal = right[idx]
             l0, r0 = left, right[:idx] + right[idx + 1 :]
 
-        witness = instance = None
+        witness = None
         freev2 = freev
         parts = _operands(principal)
         if rule.premises is None:
@@ -430,8 +428,7 @@ class LhtSearch:
             else:
                 witness = fresh_var(x.name)
                 freev2 = freev + [witness]
-            instance = substitute(body, x, witness)
-            adds = _quantifier_premise(rule, principal, instance)
+            adds = _quantifier_premise(rule, principal, substitute(body, x, witness))
         else:
             adds = rule.premises(*parts)
 
@@ -452,7 +449,6 @@ class LhtSearch:
                 principal=principal,
                 children=children,
                 witness=witness,
-                instance=instance,
             )
 
     def _premises(self, premises, pos, freev, i, acc) -> Iterator[tuple]:

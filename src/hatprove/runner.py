@@ -188,6 +188,8 @@ def run_suite(paths, cfg: RunConfig, jobs: int = 1) -> Report:
         problems.extend(find_problems(p))
     problems = sorted(set(problems))
     report = Report(cfg.backend)
+    # the fork start method launches every worker at the first submit
+    jobs = min(jobs, len(problems))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

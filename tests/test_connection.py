@@ -1,13 +1,15 @@
 import time
 
+import pytest
+
 from hatprove.connection import ConnSearch, prove_conn
 from hatprove.embedding import embed
 from hatprove.frontend import parse_native_formula
 from hatprove.lj import prove_lj
-from hatprove.matrix import build_matrix
+from hatprove.matrix import build_matrix, matrix_str
 from hatprove.oracle import ht_valid_prop
 from hatprove.terms import Atom, Imp, Neg, Or
-from hatprove.verdicts import Verdict
+from hatprove.verdicts import SearchTimeout, Verdict
 from support import enumerate_formulas
 
 p, q = Atom("p"), Atom("q")
@@ -203,6 +205,33 @@ def test_inconclusive_prefix_check_counts_as_satisfiable(monkeypatch):
     assert set(cache.values()) == {True}
     assert r.verdict is Verdict.PROVED
     assert all(c.prefix0 == c.prefix1 for c in r.proof.connections)
+
+
+def test_every_round_leaves_the_matrix_and_the_trails_as_it_found_them():
+    # one matrix serves rounds 1-3; each round is closed after its first
+    # proof or cut off at once by a deadline already passed, and must
+    # undo every clause copy, connection and binding it made
+    two_copies = parse_native_formula("(all X: p(X)) => (p(a) , p(b))", close=True)
+    cases = [(embed(F1), 2), (parse_native_formula("p ; ~ p"), None), (two_copies, 2)]
+    for f, first_proving_round in cases:
+        matrix = build_matrix(f)
+        before = matrix_str(matrix)
+        for limit in (1, 2, 3):
+            for deadline in (None, time.monotonic() - 1):
+                search = ConnSearch(matrix, limit, deadline)
+                run = search.run()
+                if deadline is None:
+                    proof = next(run, None)
+                    proved = first_proving_round is not None and limit >= first_proving_round
+                    assert (proof is not None) == proved, (f, limit)
+                else:
+                    with pytest.raises(SearchTimeout):
+                        next(run)
+                run.close()
+                assert matrix_str(matrix) == before
+                assert search.connections == []
+                assert not +search.copies
+                assert search.tb.mark() == search.pb.mark() == 0
 
 
 def test_regularity_never_removes_all_proofs():

@@ -124,7 +124,7 @@ def test_instance_keeps_the_inner_binder():
         node = stack.pop()
         stack += node.children
         if node.rule == "r25" and node.principal == f:
-            insts.append(node.instance)
+            insts.append(node.children[0].left[0])
     assert insts and all(inst.var is Y for inst in insts)
 
 

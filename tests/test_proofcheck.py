@@ -7,7 +7,7 @@ from hatprove.frontend import parse_native_formula
 from hatprove.lht import LhtSearch, ProofNode, _freeze
 from hatprove import proofcheck
 from hatprove.proofcheck import ProofError, check_proof
-from hatprove.terms import And, Atom, Imp, Or, con, substitute
+from hatprove.terms import SKOLEM_PREFIX, And, Atom, Fun, Imp, Or, con
 from support import schwichtenberg
 
 p, q = Atom("p"), Atom("q")
@@ -106,20 +106,21 @@ def test_rejects_premise_missing_a_formula():
 def test_rejects_axiom_pair_outside_the_sequent():
     proof = _proof(Imp(p, p))
     leaf = proof.children[0]
-    assert leaf.rule == "axiom1" and leaf.closing == (p, p)
+    assert leaf.rule == "axiom1" and leaf.closing == p
     with pytest.raises(ProofError, match="not on the left"):
-        check_proof(replace(leaf, closing=(q, q)))
+        check_proof(replace(leaf, closing=q))
 
 
 def test_rejects_eigen_witness_that_is_not_skolem():
     f = parse_native_formula("all X: (p(X) => p(X))", close=True)
     proof = _proof(f)
     assert proof.rule == "r21"
-    a = con("a")
-    # the instance fits the witness, so only the witness's symbol is wrong
-    forged = replace(proof, witness=a, instance=substitute(f.body, f.var, a))
     with pytest.raises(ProofError, match="not a skolem term"):
-        check_proof(forged)
+        check_proof(replace(proof, witness=con("a")))
+    # a skolem witness the premise was not built from fails the premise match
+    forged = Fun(SKOLEM_PREFIX + "forged", ())
+    with pytest.raises(ProofError, match="not found"):
+        check_proof(replace(proof, witness=forged))
 
 
 def test_rejects_premise_equal_only_modulo_bound_renaming():
@@ -127,7 +128,7 @@ def test_rejects_premise_equal_only_modulo_bound_renaming():
     all_x = parse_native_formula("all X: p(X)")
     all_y = parse_native_formula("all Y: p(Y)")
     assert all_x != all_y
-    leaf = ProofNode((q,), (all_y, q), "axiom1", closing=(q, q))
+    leaf = ProofNode((q,), (all_y, q), "axiom1", closing=q)
     node = ProofNode((q,), (Or(all_x, q),), "r2", Or(all_x, q), (leaf,))
     check_proof(leaf)
     with pytest.raises(ProofError, match="not found"):

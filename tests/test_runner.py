@@ -139,6 +139,34 @@ def test_run_suite_parallel_matches_serial(tmp_path):
     ]
 
 
+def test_run_suite_forks_no_more_workers_than_problems(tmp_path, monkeypatch):
+    # a stand-in pool that records its size and runs every call in this
+    # process, so no worker is started
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    write(tmp_path, "a.p", "fof(c,conjecture,p=>p).")
+    write(tmp_path, "b.p", "fof(c,conjecture,q=>q).")
+    report = run_suite([tmp_path], RunConfig(backend="lht", timeout=5), jobs=64)
+    assert sizes == [2]
+    assert [r.status for r in report.rows] == ["Theorem", "Theorem"]
+
+
 def test_mini_corpus_smoke_lht():
     report = run_suite([MINI], RunConfig(backend="lht", timeout=2))
     assert len(report.rows) == 30
