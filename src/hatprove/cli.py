@@ -21,7 +21,7 @@ from .embedding import ht_axioms
 from .frontend import to_native
 from .matrix import build_matrix, matrix_str
 from .oracle import ht_countermodel
-from .runner import BACKENDS, RunConfig, find_problems, load_goal, run_problem, run_suite
+from .runner import BACKENDS, RunConfig, find_problems, load_goal, run_suite
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -94,20 +94,18 @@ def _main(argv) -> int:
         fmt=args.format,
         axiom_root=args.axiom_root,
     )
-    if len(problems) == 1:
-        result = run_problem(problems[0], cfg)
-        print(result.szs_line)
-        if result.message:
-            print(f"% {result.message}")
-        if result.countermodel:
-            print(f"% countermodel: {result.countermodel}")
-        print(f"% time: {result.seconds:.2f}s, deepening rounds: {result.rounds}")
-        return 0
     report = run_suite(args.paths, cfg, jobs=args.jobs)
     for row in report.rows:
         print(row.szs_line)
-    print()
-    print(report.table())
+    if len(problems) == 1:
+        if row.message:
+            print(f"% {row.message}")
+        if row.countermodel:
+            print(f"% countermodel: {row.countermodel}")
+        print(f"% time: {row.seconds:.2f}s, deepening rounds: {row.rounds}")
+    else:
+        print()
+        print(report.table())
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())

@@ -13,10 +13,12 @@ Two input formats, read by one reader:
   `~` `,` `;` `=>` `<=>`; binary connectives associate to the right,
   and a quantifier's scope extends as far right as possible.
 
-`_Parser.formula` is one precedence loop on an explicit stack, driven
-by a table of binary connectives per syntax, and terms are read with
-an explicit stack too, so input depth is bounded by memory, not by the
-recursion limit.  Every predicate and function symbol, constants
+A file is read into its tokens by one regex scan, with no positions:
+the line and column of a `ParseError` are found by scanning the text
+again.  `_Parser.formula` is one precedence loop on an explicit stack,
+driven by a table of binary connectives per syntax, and terms are read
+with an explicit stack too, so input depth is bounded by memory, not by
+the recursion limit.  Every predicate and function symbol, constants
 included, keeps one arity.
 
 Formulas are rectified while parsing: every quantifier binds a fresh
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -76,41 +78,17 @@ class Problem:
 # Tokenizer
 # ============================================================
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|%[^\n]*|/\*.*?\*/)
-  | (?P<op><=>|<~>|=>|<=|!=|~\||~&|[(),.:;~!?\[\]=&|])
-  | (?P<name>[a-z][A-Za-z0-9_]*|\$[a-z]+|'[^']*')
-  | (?P<var>[A-Z_][A-Za-z0-9_]*)
-  | (?P<num>\d+)
-    """,
-    re.VERBOSE | re.DOTALL,
+_TOKEN = (
+    r"<=>|<~>|=>|<=|!=|~\||~&|[(),.:;~!?\[\]=&|]"
+    r"|[a-z][A-Za-z0-9_]*|'[^']*'|[A-Z_][A-Za-z0-9_]*|\d+"
 )
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        value = m.group()
-        if value.startswith("$"):
-            # $true, $false and the other defined words have no formula
-            # constant to stand for; read as atoms they change verdicts
-            raise ParseError(f"unsupported TPTP word {value!r}", line, pos - line_start + 1)
-        if kind != "ws":
-            tokens.append((kind, value, line, pos - line_start + 1))
-        line += value.count("\n")
-        if "\n" in value:
-            line_start = pos + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(("eof", "", line, pos - line_start + 1))
-    return tokens
+_TOKEN_RE = re.compile(_TOKEN)
+# Each match is the whitespace before a comment, a token (the group) or
+# the end of the text; where no token starts, the rest of the text is one
+# match, in the group, so the scan skips no character.
+_SCAN_RE = re.compile(rf"\s*(?:%[^\n]*|/\*.*?\*/|({_TOKEN}|.+)|\Z)", re.DOTALL)
+_VAR = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_")  # what a variable starts with
+_NAME = frozenset("abcdefghijklmnopqrstuvwxyz'")  # what a name starts with
 
 
 # ============================================================
@@ -118,16 +96,17 @@ def _tokenize(text: str):
 # ============================================================
 
 
-class _Conn(NamedTuple):
+class _Conn:
     """A binary connective.  It applies where the operand being read may
     contain connectives of its `power`.  Its right operand may contain
     connectives of its own power, so it associates to the right, unless
     it `chains`: then the right operand is read one power higher and the
     chain grows to the left."""
 
-    power: int
-    chains: bool
-    build: Callable[[Formula, Formula], Formula]
+    __slots__ = ("power", "chains", "build")  # faster to read than a NamedTuple's
+
+    def __init__(self, power: int, chains: bool, build: Callable[[Formula, Formula], Formula]):
+        self.power, self.chains, self.build = power, chains, build
 
 
 class _Syntax(NamedTuple):
@@ -168,12 +147,11 @@ _SYNTAXES = {"native": _NATIVE, "tptp": _TPTP}
 
 
 class _Parser:
-    """The reader of both syntaxes: tokens, the variables in scope, the
-    arities seen so far and whether an equality occurred."""
+    """The reader of both syntaxes: the current file's text and tokens, the
+    variables in scope, the arities seen and whether `=` occurred."""
 
     def __init__(self, text: str, syntax: _Syntax):
-        self.toks = _tokenize(text)
-        self.i = 0
+        self.read(text)
         self.syntax = syntax
         self.bound: dict[str, list[Var]] = {}  # name -> binders, innermost last
         self.free: dict[str, Var] = {}
@@ -181,19 +159,35 @@ class _Parser:
         self.fun_arity: dict[str, int] = {}
         self.uses_equality = False
 
-    def next(self):
-        t = self.toks[self.i]
-        if t[0] != "eof":
-            self.i += 1
-        return t
+    def read(self, text: str):
+        """Make `text` the current file: its tokens, then "" for its end."""
+        self.text, self.i = text, 0
+        self.toks = list(filter(None, _SCAN_RE.findall(text)))
+        if self.toks and not _TOKEN_RE.fullmatch(self.toks[-1]):
+            # $true, $false and the other defined words have no formula
+            # constant to stand for; read as atoms they change verdicts
+            bad = self.toks[-1]
+            word = re.match(r"\$[a-z]+", bad)
+            msg = f"unsupported TPTP word {word[0]!r}" if word else f"unexpected character {bad[0]!r}"
+            raise self.error(msg, len(self.toks) - 1)
+        self.toks.append("")
 
-    def at(self, value: str) -> bool:
-        return self.toks[self.i][1] == value
+    def error(self, msg: str, k: int) -> ParseError:
+        """An error at token `k` of the current file, found by scanning it again."""
+        starts = (m.start(1) for m in _SCAN_RE.finditer(self.text) if m.lastindex)
+        pos = next(islice(starts, k, None), len(self.text))
+        line, col = self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
+        return ParseError(msg, line, col)
+
+    def next(self) -> str:
+        val = self.toks[self.i]
+        self.i += bool(val)  # never past the end
+        return val
 
     def expect(self, value: str):
-        kind, val, line, col = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val!r}", line, col)
+        if self.toks[self.i] != value:
+            raise self.error(f"expected {value!r}, found {self.toks[self.i]!r}", self.i)
+        self.i += 1
 
     def lookup_var(self, name: str) -> Var:
         binders = self.bound.get(name)
@@ -203,78 +197,93 @@ class _Parser:
             self.free[name] = fresh_var(name)
         return self.free[name]
 
-    def check_arity(self, table: dict, sym: str, n: int, what: str, line: int, col: int):
+    def check_arity(self, table: dict, sym: str, n: int, what: str, k: int):
         old = table.setdefault(sym, n)
         if old != n:
             msg = f"arity clash for {what} {sym!r}: used with {old} and {n} arguments"
-            raise ParseError(msg, line, col)
+            raise self.error(msg, k)
 
     def formula(self) -> Formula:
         """Read one formula with a precedence loop on an explicit stack.
 
         `~`, a quantifier, `(` and a binary connective with its left
         operand each open a frame, which keeps the power of the operand
-        around it and the function that closes it.  A connective applies
-        if the current operand may contain its power and its left
-        operand is a unit, has a main connective that binds tighter, or,
-        for a chaining connective, is a chain of it; where none applies,
-        the top frame closes.
+        around it and what closes it: `Neg`, the quantifier's function,
+        `)`, or the connective and its left operand.  A connective
+        applies if the current operand may contain its power and its
+        left operand is a unit, has a main connective that binds
+        tighter, or, for a chaining connective, is a chain of it; where
+        none applies, the top frame closes.  A lowercase name followed
+        by neither `(` nor an equality is an atom, read without building
+        a term.
         """
-        binary = self.syntax.binary
-        toks = self.toks
-        stack = []  # (power outside the frame, close, main connective or None)
-        power = 0
+        syntax, toks, i = self.syntax, self.toks, self.i
+        connective, quantifiers = syntax.binary.get, syntax.quantifiers
+        not_atom = {"(", *syntax.equalities}  # after a symbol that is not an atom
+        arity = self.pred_arity.setdefault
+        stack, power = [], 0  # (outer power, connective or None, left operand or closer)
+        push, pop = stack.append, stack.pop
         while True:
-            val = toks[self.i][1]
-            if val == "~":
-                self.i += 1
-                stack.append((power, Neg, None))
-                power = _UNIT
-            elif val == "(":
-                self.i += 1
-                stack.append((power, self.close_paren, None))
-                power = 0
-            elif val in self.syntax.quantifiers:
-                stack.append((power, self.quantifier(), None))
-                power = self.syntax.scope
+            val = toks[i]
+            if "a" <= val < "{" and toks[i + 1] not in not_atom and val not in quantifiers:
+                if arity(val, 0):
+                    self.check_arity(self.pred_arity, val, 0, "predicate", i)
+                f = Atom(val)
+                i += 1
+            elif val == "~" or val == "(":
+                i += 1
+                push((power, None, Neg if val == "~" else None))
+                power = _UNIT if val == "~" else 0
+                continue
             else:
+                self.i = i
+                if val in quantifiers:
+                    push((power, None, self.quantifier()))
+                    i, power = self.i, syntax.scope
+                    continue
                 f = self.atom()
-                main = None  # the main connective of f; None for a unit
-                while True:
-                    conn = binary.get(toks[self.i][1])
-                    if (
-                        conn is not None
-                        and conn.power >= power
-                        and (main is None or main.power > conn.power or (main is conn and conn.chains))
-                    ):
-                        self.i += 1
-                        stack.append((power, partial(conn.build, f), conn))
-                        power = conn.power + conn.chains
-                        break
-                    if not stack:
-                        return f
-                    power, close, main = stack.pop()
-                    f = close(f)
-
-    def close_paren(self, f: Formula) -> Formula:
-        self.expect(")")
-        return f
+                i = self.i
+            main = None  # the main connective of f; None for a unit
+            conn = connective(toks[i])
+            while True:
+                if (
+                    conn is not None
+                    and conn.power >= power
+                    and (main is None or main.power > conn.power or (main is conn and conn.chains))
+                ):
+                    i += 1
+                    push((power, conn, f))
+                    power = conn.power + conn.chains
+                    break
+                if not stack:
+                    self.i = i
+                    return f
+                power, main, left = pop()
+                if main is not None:
+                    f = main.build(left, f)
+                elif left is not None:
+                    f = left(f)
+                elif toks[i] == ")":
+                    i += 1
+                    conn = connective(toks[i])
+                else:
+                    raise self.error(f"expected ')', found {toks[i]!r}", i)
 
     def quantifier(self) -> Callable[[Formula], Formula]:
         """Read a quantifier and the variables it binds, which stay in
         scope until the returned function closes its frame."""
-        quant = self.next()[1]
+        quant = self.next()
         cls = self.syntax.quantifiers[quant]
         var_list = self.syntax.var_list
         if var_list:
             self.expect("[")
         vs = []
         while True:
-            kind, name, line, col = self.next()
-            if kind != "var":
-                raise ParseError(f"expected a variable after {quant!r}", line, col)
+            k, name = self.i, self.next()
+            if name[:1] not in _VAR:
+                raise self.error(f"expected a variable after {quant!r}", k)
             vs.append(fresh_var(name))
-            if not (var_list and self.at(",")):
+            if not (var_list and self.toks[self.i] == ","):
                 break
             self.i += 1
         if var_list:
@@ -292,53 +301,54 @@ class _Parser:
         return close
 
     def atom(self) -> Formula:
-        kind, val, line, col = self.toks[self.i]
-        if kind not in ("name", "var", "num"):
-            raise ParseError(f"expected an atom (found {val!r})", line, col)
+        k = self.i
+        val = self.toks[k]
+        if not (val[:1] in _NAME or val[:1] in _VAR or val[:1].isdecimal()):
+            raise self.error(f"expected an atom (found {val!r})", k)
         left = self.term(head=False)
-        eq = self.toks[self.i][1]
+        eq = self.toks[self.i]
         if eq in self.syntax.equalities:
             self.i += 1
             if type(left) is Fun:
-                self.check_arity(self.fun_arity, left.sym, len(left.args), "function", line, col)
+                self.check_arity(self.fun_arity, left.sym, len(left.args), "function", k)
             self.uses_equality = True
             f = Atom(EQ, (left, self.term()))
             return Neg(f) if eq == "!=" else f
         if type(left) is Var:
-            raise ParseError("a variable is not a formula", line, col)
-        self.check_arity(self.pred_arity, left.sym, len(left.args), "predicate", line, col)
+            raise self.error("a variable is not a formula", k)
+        self.check_arity(self.pred_arity, left.sym, len(left.args), "predicate", k)
         return Atom(left.sym, left.args)
 
     def term(self, head: bool = True) -> Term:
         """Read a term with an explicit stack of open argument lists and
         check the arity of each function symbol in it, of the outermost
         one only if `head`."""
-        stack = []  # (symbol, line, column, arguments so far)
+        stack = []  # (symbol, index of its token, arguments so far)
         while True:
-            kind, val, line, col = self.next()
-            if kind == "var":
+            k, val = self.i, self.next()
+            if val[:1] in _VAR:
                 t = self.lookup_var(val)
-            elif kind == "name" and self.at("("):
+            elif val[:1] in _NAME and self.toks[self.i] == "(":
                 self.i += 1
-                stack.append((val.strip("'"), line, col, []))
+                stack.append((val.strip("'"), k, []))
                 continue
-            elif kind == "name" or kind == "num":
+            elif val[:1] in _NAME or val[:1].isdecimal():
                 t = Fun(val.strip("'"), ())
             else:
-                raise ParseError(f"expected a term, found {val!r}", line, col)
+                raise self.error(f"expected a term, found {val!r}", k)
             # t is complete: add it to its argument list and close each
             # list it completes
             while True:
                 if type(t) is Fun and (head or stack):
-                    self.check_arity(self.fun_arity, t.sym, len(t.args), "function", line, col)
+                    self.check_arity(self.fun_arity, t.sym, len(t.args), "function", k)
                 if not stack:
                     return t
-                stack[-1][3].append(t)
-                if self.at(","):
+                stack[-1][2].append(t)
+                if self.toks[self.i] == ",":
                     self.i += 1
                     break
                 self.expect(")")
-                sym, line, col, args = stack.pop()
+                sym, k, args = stack.pop()
                 t = Fun(sym, tuple(args))
 
     def close_free(self, f: Formula) -> Formula:
@@ -351,23 +361,22 @@ class _Parser:
     def sole_formula(self, close: bool) -> Formula:
         """The input as one formula, universally closed if `close`."""
         f = self.formula()
-        kind, val, line, col = self.toks[self.i]
-        if kind != "eof":
-            raise ParseError(f"trailing input after formula (found {val!r})", line, col)
+        if self.toks[self.i]:
+            raise self.error(f"trailing input after formula (found {self.toks[self.i]!r})", self.i)
         return self.close_free(f) if close else f
 
     def tptp_units(self, prob: Problem, axiom_root: Optional[Path]):
         """Read `fof` and `include` units into `prob`.  An included file
         is read in place, by this parser, so arities and equality are
         checked across files."""
-        outer = []  # (resolved path, tokens, position) per open include
+        outer = []  # (resolved path, text, tokens, position) per open include
         while True:
-            kind, val, line, col = self.next()
+            val = self.next()
             if val == "fof":
                 self.expect("(")
                 self.next()  # the name
                 self.expect(",")
-                _, role, line, col = self.next()
+                k, role = self.i, self.next()
                 self.expect(",")
                 f = self.close_free(self.formula())
                 self.expect(")")
@@ -379,31 +388,30 @@ class _Parser:
                 elif role in ("axiom", "hypothesis", "lemma"):
                     prob.axioms.append(f)
                 else:
-                    raise ParseError(f"unsupported role {role!r}", line, col)
+                    raise self.error(f"unsupported role {role!r}", k)
             elif val == "include":
                 self.expect("(")
-                _, rel, line, col = self.next()
+                k, rel = self.i, self.next().strip("'")
                 self.expect(")")
                 self.expect(".")
-                rel = rel.strip("'")
                 if axiom_root is None:
-                    raise ParseError(f"include({rel!r}) found but no axiom root configured", line, col)
+                    raise self.error(f"include({rel!r}) found but no axiom root configured", k)
                 path = axiom_root / rel
                 try:
                     text = path.read_text(encoding="utf-8")
                 except OSError as exc:
-                    raise ParseError(f"cannot read include {str(path)!r}: {exc}", line, col)
+                    raise self.error(f"cannot read include {str(path)!r}: {exc}", k)
                 key = path.resolve()
                 if key in [o[0] for o in outer]:
-                    raise ParseError(f"include {str(path)!r} includes itself", line, col)
-                outer.append((key, self.toks, self.i))
-                self.toks, self.i = _tokenize(text), 0
-            elif kind == "eof":
+                    raise self.error(f"include {str(path)!r} includes itself", k)
+                outer.append((key, self.text, self.toks, self.i))
+                self.read(text)
+            elif not val:
                 if not outer:
                     return
-                _, self.toks, self.i = outer.pop()
+                _, self.text, self.toks, self.i = outer.pop()
             else:
-                raise ParseError(f"expected fof or include, found {val!r}", line, col)
+                raise self.error(f"expected fof or include, found {val!r}", self.i - 1)
 
 
 def parse_native_formula(text: str, close: bool = False) -> Formula:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,9 +83,10 @@ def load_goal(path, fmt: str, axiom_root=None):
     include() files are looked up under axiom_root, or the problem's
     directory when it is None.
     """
-    path = Path(path)
-    root = axiom_root if axiom_root is not None else path.parent
-    prob = parse_problem(path.read_bytes(), fmt, name=path.stem, axiom_root=root)
+    root = axiom_root if axiom_root is not None else os.path.dirname(path)
+    name = os.path.splitext(os.path.basename(path))[0]
+    with open(path, "rb") as fh:
+        prob = parse_problem(fh.read(), fmt, name=name, axiom_root=root)
     goal = assemble_goal(prob)
     # the reader has recorded whether `=` occurs in any formula
     return add_equality_axioms(goal) if prob.uses_equality else goal
@@ -92,7 +94,7 @@ def load_goal(path, fmt: str, axiom_root=None):
 
 def run_problem(path, cfg: RunConfig) -> RunResult:
     """Run one problem; pipeline failures become an Error result."""
-    name = Path(path).stem
+    name = os.path.splitext(os.path.basename(path))[0]
     start = time.monotonic()
     try:
         goal = load_goal(path, cfg.fmt, cfg.axiom_root)

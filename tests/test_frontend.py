@@ -26,7 +26,7 @@ from hatprove.terms import (
     signature,
 )
 from hatprove.verdicts import Verdict
-from support import alpha_equal, horn, random_formula
+from support import alpha_equal, horn, random_fo_formula, random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -108,6 +108,42 @@ def test_arity_clash_checks_constants_at_the_symbol():
 def test_syntax_error_reports_position():
     with pytest.raises(ParseError, match="line"):
         parse_problem("fof(c,conjecture,\n p & ).")
+
+
+# (text, message, line, column), as the reader has reported them since
+# it kept a position on every token
+ERROR_POSITIONS = [
+    ("/* a\n   b */ fof(c, conjecture, p & ).", "expected an atom (found ')')", 2, 32),
+    ("/* a\n b */\n  fof(c, conjecture, p & ).", "expected an atom (found ')')", 3, 26),
+    ("fof(a, axiom, p).\n% note\n  fof(c, conjecture, $false).",
+     "unsupported TPTP word '$false'", 3, 22),
+    ("fof(c, conjecture,\n  p => q @ r).", "unexpected character '@'", 2, 10),
+    ("fof(c, conjecture, p).\n /* open", "unexpected character '/'", 2, 2),
+    ("fof(c, conjecture, p).\n include('open).", "unexpected character \"'\"", 2, 10),
+    ("fof(c, conjecture, p) % no newline", "expected '.', found ''", 1, 35),
+]
+
+
+@pytest.mark.parametrize("text, msg, line, col", ERROR_POSITIONS)
+def test_error_positions(text, msg, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_problem(text)
+    assert str(e.value) == f"{msg} at line {line}, column {col}"
+    assert (e.value.line, e.value.col) == (line, col)
+
+
+def test_error_position_is_in_the_included_file(tmp_path):
+    (tmp_path / "ax.ax").write_text("fof(a1, axiom, q(a)).\n\n  fof(a2, axiom, q(a, b)).")
+    text = "fof(a0, axiom, r).\ninclude('ax.ax').\nfof(c, conjecture, p)."
+    with pytest.raises(ParseError, match="arity clash for predicate 'q'") as e:
+        parse_problem(text, axiom_root=tmp_path)
+    assert (e.value.line, e.value.col) == (3, 18)
+
+
+def test_last_line_comment_without_newline():
+    prob = parse_problem("fof(a, axiom, q).\nfof(c, conjecture, p).\n% last line")
+    assert prob.axioms == [q] and prob.conjecture == p
+    assert parse_native_formula("p => q % trailing") == Imp(p, q)
 
 
 def test_defined_words_rejected_in_both_grammars():
@@ -224,6 +260,10 @@ def test_native_round_trip():
         f = random_formula(rng, rng.randint(1, 9))
         g = parse_native_formula(to_native(f))
         assert alpha_equal(f, g, free_bijection=True), (f, g)
+    # atoms with arguments, which the reader builds apart from the others
+    for _ in range(200):
+        f = random_fo_formula(rng, rng.randint(1, 12))
+        assert alpha_equal(f, parse_native_formula(to_native(f))), f
     # printer and reader keep explicit stacks: formulas far deeper than
     # the recursion limit print and read back (compared as text, since
     # `==` on such formulas recurses)

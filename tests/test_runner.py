@@ -356,6 +356,19 @@ def test_cli_suite_with_csv(tmp_path, capsys):
     assert "% SZS status" in out and "backend lht" in out
 
 
+def test_cli_csv_for_one_problem(tmp_path, capsys):
+    # a directory that holds one problem gets the single-problem output
+    # and still writes the CSV
+    (tmp_path / "probs").mkdir()
+    write(tmp_path / "probs", "t1.p", "fof(c, conjecture, p => p).")
+    csv_path = tmp_path / "out.csv"
+    assert main([str(tmp_path / "probs"), "--csv", str(csv_path)]) == 0
+    assert "% SZS status Theorem for t1" in capsys.readouterr().out
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "problem,backend,status,seconds,rounds"
+    assert lines[1].startswith("t1,lht,Theorem,") and len(lines) == 2
+
+
 def test_cli_backend_flags(tmp_path, capsys):
     path = write(tmp_path, "f3.p", "fof(c, conjecture, p => p).")
     for backend in ("lj", "conn", "lj-ht", "conn-ht"):
